@@ -86,6 +86,26 @@ FILE may be "-" for stdin. See docs/OBSERVABILITY.md for the trace schema.
 `)
 }
 
+// stdio is one invocation's standard streams.
+type stdio struct {
+	in       io.Reader
+	out, err io.Writer
+}
+
+// commands maps each subcommand to its entry point, which parses the
+// subcommand's flags from args and returns the exit code.
+var commands = map[string]func(args []string, s stdio) int{
+	"lint":     cmdLint,
+	"episodes": cmdEpisodes,
+	"series":   cmdSeries,
+	"summary":  cmdSummary,
+	"export":   cmdExport,
+	"fleet": familyCmd("fleet", "fleet", analyze.AnalyzeFleet, printFleet,
+		analyze.FleetChromeTrace),
+	"slo": familyCmd("slo", "SLO", analyze.AnalyzeSLO, printSLO,
+		analyze.SLOChromeTrace),
+}
+
 // run is the testable entry point: it dispatches to one subcommand and
 // returns the process exit code (0 ok, 1 failure/violations, 2 usage).
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -94,110 +114,118 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cmd, rest := args[0], args[1:]
+	if c, ok := commands[cmd]; ok {
+		return c(rest, stdio{stdin, stdout, stderr})
+	}
 	switch cmd {
-	case "lint":
-		return cmdLint(rest, stdin, stdout, stderr)
-	case "episodes":
-		return cmdEpisodes(rest, stdin, stdout, stderr)
-	case "series":
-		return cmdSeries(rest, stdin, stdout, stderr)
-	case "summary":
-		return cmdSummary(rest, stdin, stdout, stderr)
-	case "export":
-		return cmdExport(rest, stdin, stdout, stderr)
-	case "fleet":
-		return cmdFleet(rest, stdin, stdout, stderr)
-	case "slo":
-		return cmdSLO(rest, stdin, stdout, stderr)
 	case "help", "-h", "-help", "--help":
 		usage(stdout)
 		return 0
-	default:
-		fmt.Fprintf(stderr, "tracetool: unknown command %q\n", cmd)
-		usage(stderr)
-		return 2
 	}
+	fmt.Fprintf(stderr, "tracetool: unknown command %q\n", cmd)
+	usage(stderr)
+	return 2
 }
 
-// analyzeFile runs one analysis pass over path ("-" = stdin).
-func analyzeFile(path string, stdin io.Reader, opts analyze.Options) (*analyze.Report, error) {
-	r := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return analyze.Analyze(r, opts)
+// newFlags returns a subcommand's flag set, reporting parse errors on
+// s.err.
+func newFlags(name string, s stdio) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(s.err)
+	return fs
 }
 
-// forEachFile analyzes every path, invoking fn per report. Open/read errors
-// are printed and turn the exit code nonzero without stopping the walk.
-func forEachFile(paths []string, stdin io.Reader, stderr io.Writer,
-	opts analyze.Options, fn func(path string, rep *analyze.Report)) int {
+// parseFiles parses args and checks that at least one FILE remains; false
+// means the caller exits 2 (usage is already printed).
+func parseFiles(fs *flag.FlagSet, args []string, s stdio) bool {
+	if fs.Parse(args) != nil {
+		return false
+	}
+	if fs.NArg() < 1 {
+		usage(s.err)
+		return false
+	}
+	return true
+}
+
+// open returns the input for path ("-" = stdin) and its closer.
+func open(path string, s stdio) (io.Reader, func(), error) {
+	if path == "-" {
+		return s.in, func() {}, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, func() { f.Close() }, nil
+}
+
+// forEachFile analyzes every path independently and hands each report to
+// show, which returns whether the trace is clean. Open/read errors are
+// printed and turn the exit code nonzero without stopping the walk. Each
+// file gets its own pass: traces from different processes (coordinator,
+// each worker) have different wall-clock epochs, so their timestamps must
+// never be compared.
+func forEachFile[R any](paths []string, s stdio, pass func(io.Reader) (R, error),
+	show func(path string, rep R) bool) int {
 	code := 0
 	for _, path := range paths {
-		rep, err := analyzeFile(path, stdin, opts)
+		in, closeIn, err := open(path, s)
 		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
+			fmt.Fprintln(s.err, "tracetool:", err)
 			code = 1
 			continue
 		}
-		fn(path, rep)
+		rep, err := pass(in)
+		closeIn()
+		if err != nil {
+			fmt.Fprintln(s.err, "tracetool:", err)
+			code = 1
+			continue
+		}
+		// Violations are findings, not tool errors, but the exit code must
+		// reflect them so CI can gate on a clean corpus.
+		if !show(path, rep) {
+			code = 1
+		}
 	}
 	return code
 }
 
-func cmdLint(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// packetPass returns a packet-trace analysis pass with the given options.
+func packetPass(opts analyze.Options) func(io.Reader) (*analyze.Report, error) {
+	return func(r io.Reader) (*analyze.Report, error) { return analyze.Analyze(r, opts) }
+}
+
+func cmdLint(args []string, s stdio) int {
+	fs := newFlags("lint", s)
 	maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
-	if fs.Parse(args) != nil {
+	if !parseFiles(fs, args, s) {
 		return 2
 	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	dirty := false
-	code := forEachFile(fs.Args(), stdin, stderr, analyze.Options{MaxViolations: *maxV},
-		func(path string, rep *analyze.Report) {
-			for _, v := range rep.Violations {
-				fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
-			}
+	return forEachFile(fs.Args(), s, packetPass(analyze.Options{MaxViolations: *maxV}),
+		func(path string, rep *analyze.Report) bool {
+			printViolations(s.out, path, rep.Violations)
 			if rep.Clean() {
-				fmt.Fprintf(stdout, "%s: %d events, clean\n", path, rep.Events)
+				fmt.Fprintf(s.out, "%s: %d events, clean\n", path, rep.Events)
 			} else {
-				dirty = true
-				fmt.Fprintf(stdout, "%s: %d events, %d violations (%d shown)\n",
+				fmt.Fprintf(s.out, "%s: %d events, %d violations (%d shown)\n",
 					path, rep.Events, rep.TotalViolations, len(rep.Violations))
 			}
+			return rep.Clean()
 		})
-	// Violations are findings, not tool errors, but the exit code must
-	// reflect them so CI can gate on a clean corpus.
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
 }
 
-func cmdEpisodes(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("episodes", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdEpisodes(args []string, s stdio) int {
+	fs := newFlags("episodes", s)
 	asJSON := fs.Bool("json", false, "emit JSON instead of a text table")
-	if fs.Parse(args) != nil {
+	if !parseFiles(fs, args, s) {
 		return 2
 	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{KeepEpisodes: true},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), s, packetPass(analyze.Options{KeepEpisodes: true}),
+		func(path string, rep *analyze.Report) bool {
 			if *asJSON {
-				writeJSON(stdout, struct {
+				writeJSON(s.out, struct {
 					File          string             `json:"file"`
 					Recoveries    int64              `json:"recoveries"`
 					Keepalives    int64              `json:"keepalives"`
@@ -208,7 +236,7 @@ func cmdEpisodes(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					Episodes      []analyze.Episode  `json:"episodes"`
 				}{path, rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved,
 					rep.RecoveryDelay, rep.DetectDelay, rep.Episodes})
-				return
+				return true
 			}
 			tbl := stats.NewTable("episodes: "+path,
 				"run", "kind", "line", "start_us", "end_us", "trigger",
@@ -219,36 +247,36 @@ func cmdEpisodes(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					fmt.Sprint(e.SwitchUS), orDash(e.RetrieveUS), orDash(e.TotalUS),
 					fmt.Sprint(e.Retrieved))
 			}
-			fmt.Fprint(stdout, tbl.String())
-			fmt.Fprintf(stdout, "recoveries %d, keepalives %d, unclosed %d, retrieved %d\n",
+			fmt.Fprint(s.out, tbl.String())
+			fmt.Fprintf(s.out, "recoveries %d, keepalives %d, unclosed %d, retrieved %d\n",
 				rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved)
-			fmt.Fprintf(stdout, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
-			fmt.Fprintf(stdout, "detect_us:         %s\n", delayLine(rep.DetectDelay))
+			fmt.Fprintf(s.out, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
+			fmt.Fprintf(s.out, "detect_us:         %s\n", delayLine(rep.DetectDelay))
+			return true
 		})
 }
 
-func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("series", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdSeries(args []string, s stdio) int {
+	fs := newFlags("series", s)
 	asJSON := fs.Bool("json", false, "emit JSON instead of a text table")
 	window := fs.Duration("window", time.Second, "window width in simulated time")
 	if fs.Parse(args) != nil {
 		return 2
 	}
 	if fs.NArg() < 1 || *window <= 0 {
-		usage(stderr)
+		usage(s.err)
 		return 2
 	}
 	windowUS := window.Microseconds()
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{WindowUS: windowUS},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), s, packetPass(analyze.Options{WindowUS: windowUS}),
+		func(path string, rep *analyze.Report) bool {
 			if *asJSON {
-				writeJSON(stdout, struct {
+				writeJSON(s.out, struct {
 					File     string               `json:"file"`
 					WindowUS int64                `json:"window_us"`
 					Points   []analyze.TracePoint `json:"points"`
 				}{path, windowUS, rep.Points})
-				return
+				return true
 			}
 			// Columns: the union of count keys across every window.
 			keySet := map[string]bool{}
@@ -257,11 +285,7 @@ func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					keySet[k] = true
 				}
 			}
-			keys := make([]string, 0, len(keySet))
-			for k := range keySet {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
+			keys := sortedKeys(keySet)
 			tbl := stats.NewTable(fmt.Sprintf("series: %s (window %v)", path, *window),
 				append([]string{"start_us", "end_us"}, keys...)...)
 			for _, p := range rep.Points {
@@ -275,41 +299,37 @@ func cmdSeries(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				}
 				tbl.AddRow(row...)
 			}
-			fmt.Fprint(stdout, tbl.String())
+			fmt.Fprint(s.out, tbl.String())
+			return true
 		})
 }
 
-func cmdSummary(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdSummary(args []string, s stdio) int {
+	fs := newFlags("summary", s)
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
-	if fs.Parse(args) != nil {
+	if !parseFiles(fs, args, s) {
 		return 2
 	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	return forEachFile(fs.Args(), stdin, stderr, analyze.Options{},
-		func(path string, rep *analyze.Report) {
+	return forEachFile(fs.Args(), s, packetPass(analyze.Options{}),
+		func(path string, rep *analyze.Report) bool {
 			if *asJSON {
-				writeJSON(stdout, struct {
+				writeJSON(s.out, struct {
 					File string `json:"file"`
 					*analyze.Report
 				}{path, rep})
-				return
+				return true
 			}
-			fmt.Fprintf(stdout, "%s: %d lines, %d events", path, rep.Lines, rep.Events)
+			fmt.Fprintf(s.out, "%s: %d lines, %d events", path, rep.Lines, rep.Events)
 			if len(rep.Runs) > 0 {
-				fmt.Fprintf(stdout, ", runs %v, span [%dus, %dus]", rep.Runs, rep.FirstUS, rep.LastUS)
+				fmt.Fprintf(s.out, ", runs %v, span [%dus, %dus]", rep.Runs, rep.FirstUS, rep.LastUS)
 			}
-			fmt.Fprintln(stdout)
+			fmt.Fprintln(s.out)
 
 			types := stats.NewTable("", "event", "count")
 			for _, k := range sortedKeys(rep.ByType) {
 				types.AddRow(k, fmt.Sprint(rep.ByType[k]))
 			}
-			fmt.Fprint(stdout, types.String())
+			fmt.Fprint(s.out, types.String())
 
 			links := stats.NewTable("links",
 				"link", "delivered", "wasted", "lost", "retries", "drops",
@@ -321,138 +341,107 @@ func cmdSummary(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					fmt.Sprint(ls.HeadDropEvict), fmt.Sprint(ls.HeadDropRefuse),
 					fmt.Sprint(ls.LossBursts), fmt.Sprint(ls.MaxBurst))
 			}
-			fmt.Fprint(stdout, links.String())
+			fmt.Fprint(s.out, links.String())
 
-			fmt.Fprintf(stdout, "episodes: %d recoveries, %d keepalives, %d unclosed; %d retrieved, %d playout misses\n",
+			fmt.Fprintf(s.out, "episodes: %d recoveries, %d keepalives, %d unclosed; %d retrieved, %d playout misses\n",
 				rep.Recoveries, rep.Keepalives, rep.Unclosed, rep.Retrieved, rep.PlayoutMisses)
-			fmt.Fprintf(stdout, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
+			fmt.Fprintf(s.out, "recovery total_us: %s\n", delayLine(rep.RecoveryDelay))
 			if rep.Clean() {
-				fmt.Fprintln(stdout, "lint: clean")
+				fmt.Fprintln(s.out, "lint: clean")
 			} else {
-				fmt.Fprintf(stdout, "lint: %d violations (run `tracetool lint %s`)\n",
+				fmt.Fprintf(s.out, "lint: %d violations (run `tracetool lint %s`)\n",
 					rep.TotalViolations, path)
 			}
+			return true
 		})
 }
 
-func cmdExport(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("export", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdExport(args []string, s stdio) int {
+	fs := newFlags("export", s)
 	format := fs.String("format", "chrome", "output format (chrome)")
 	outPath := fs.String("o", "", "write to this file instead of stdout")
 	if fs.Parse(args) != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		usage(stderr)
+		usage(s.err)
 		return 2
 	}
 	if *format != "chrome" {
-		fmt.Fprintf(stderr, "tracetool: unknown export format %q (supported: chrome)\n", *format)
+		fmt.Fprintf(s.err, "tracetool: unknown export format %q (supported: chrome)\n", *format)
 		return 2
 	}
-	in := stdin
-	if path := fs.Arg(0); path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
+	return writeExport(fs.Arg(0), *outPath, s, analyze.ChromeTrace)
+}
+
+// familyCmd builds the subcommand of one event family (fleet, slo): a
+// report per FILE through pass and show, or, with -export chrome, one
+// FILE rendered by export. report names the report in the -json help.
+func familyCmd[R any](name, report string, pass func(io.Reader, int) (R, error),
+	show func(w io.Writer, path string, rep R, asJSON bool) bool,
+	export func(io.Reader, io.Writer) error) func([]string, stdio) int {
+	return func(args []string, s stdio) int {
+		fs := newFlags(name, s)
+		asJSON := fs.Bool("json", false, "emit the full "+report+" report as JSON")
+		maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
+		format := fs.String("export", "", "export format instead of a report (chrome)")
+		outPath := fs.String("o", "", "write the export to this file instead of stdout")
+		if !parseFiles(fs, args, s) {
+			return 2
 		}
-		defer f.Close()
-		in = f
+		if *format != "" {
+			if *format != "chrome" {
+				fmt.Fprintf(s.err, "tracetool: unknown %s export format %q (supported: chrome)\n", name, *format)
+				return 2
+			}
+			if fs.NArg() != 1 {
+				fmt.Fprintf(s.err, "tracetool: %s -export takes exactly one FILE\n", name)
+				return 2
+			}
+			return writeExport(fs.Arg(0), *outPath, s, export)
+		}
+		return forEachFile(fs.Args(), s,
+			func(r io.Reader) (R, error) { return pass(r, *maxV) },
+			func(path string, rep R) bool { return show(s.out, path, rep, *asJSON) })
 	}
-	out := stdout
-	var outFile *os.File
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		outFile = f
-		out = f
-	}
-	if err := analyze.ChromeTrace(in, out); err != nil {
-		fmt.Fprintln(stderr, "tracetool:", err)
-		if outFile != nil {
-			outFile.Close()
-		}
+}
+
+// writeExport renders the trace at path ("-" = stdin) with export onto
+// outPath, or onto stdout when outPath is empty.
+func writeExport(path, outPath string, s stdio, export func(io.Reader, io.Writer) error) int {
+	in, closeIn, err := open(path, s)
+	if err != nil {
+		fmt.Fprintln(s.err, "tracetool:", err)
 		return 1
 	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
+	defer closeIn()
+	out := s.out
+	var outFile *os.File
+	if outPath != "" {
+		if outFile, err = os.Create(outPath); err != nil {
+			fmt.Fprintln(s.err, "tracetool:", err)
 			return 1
 		}
+		out = outFile
+	}
+	err = export(in, out)
+	if outFile != nil {
+		if cerr := outFile.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(s.err, "tracetool:", err)
+		return 1
 	}
 	return 0
 }
 
-func cmdFleet(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the full fleet report as JSON")
-	maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
-	export := fs.String("export", "", "export format instead of a report (chrome)")
-	outPath := fs.String("o", "", "write the export to this file instead of stdout")
-	if fs.Parse(args) != nil {
-		return 2
+// printViolations prints one "file:line: kind: message" line per finding.
+func printViolations(w io.Writer, path string, vs []analyze.Violation) {
+	for _, v := range vs {
+		fmt.Fprintf(w, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
 	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	if *export != "" {
-		if *export != "chrome" {
-			fmt.Fprintf(stderr, "tracetool: unknown fleet export format %q (supported: chrome)\n", *export)
-			return 2
-		}
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "tracetool: fleet -export takes exactly one FILE")
-			return 2
-		}
-		return fleetExport(fs.Arg(0), *outPath, stdin, stdout, stderr)
-	}
-	// Each file is analyzed independently: traces from different processes
-	// (coordinator, each worker) have different wall-clock epochs, so their
-	// timestamps must never be compared.
-	code := 0
-	dirty := false
-	for _, path := range fs.Args() {
-		in := stdin
-		if path != "-" {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracetool:", err)
-				code = 1
-				continue
-			}
-			rep, rerr := analyze.AnalyzeFleet(f, *maxV)
-			f.Close()
-			if rerr != nil {
-				fmt.Fprintln(stderr, "tracetool:", rerr)
-				code = 1
-				continue
-			}
-			if !printFleet(stdout, path, rep, *asJSON) {
-				dirty = true
-			}
-			continue
-		}
-		rep, rerr := analyze.AnalyzeFleet(in, *maxV)
-		if rerr != nil {
-			fmt.Fprintln(stderr, "tracetool:", rerr)
-			code = 1
-			continue
-		}
-		if !printFleet(stdout, path, rep, *asJSON) {
-			dirty = true
-		}
-	}
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
 }
 
 // printFleet renders one file's fleet report, returning rep.Clean().
@@ -464,9 +453,7 @@ func printFleet(stdout io.Writer, path string, rep *analyze.FleetReport, asJSON 
 		}{path, rep})
 		return rep.Clean()
 	}
-	for _, v := range rep.Violations {
-		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
-	}
+	printViolations(stdout, path, rep.Violations)
 	fmt.Fprintf(stdout, "%s: %d events (%d fleet, %d skipped)", path, rep.Events, rep.FleetEvents, rep.Skipped)
 	if len(rep.Runs) > 0 {
 		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
@@ -512,103 +499,6 @@ func printFleet(stdout io.Writer, path string, rep *analyze.FleetReport, asJSON 
 	return rep.Clean()
 }
 
-// fleetExport renders one fleet trace as Chrome trace-event JSON.
-func fleetExport(path, outPath string, stdin io.Reader, stdout, stderr io.Writer) int {
-	in := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		defer f.Close()
-		in = f
-	}
-	out := stdout
-	var outFile *os.File
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		outFile = f
-		out = f
-	}
-	if err := analyze.FleetChromeTrace(in, out); err != nil {
-		fmt.Fprintln(stderr, "tracetool:", err)
-		if outFile != nil {
-			outFile.Close()
-		}
-		return 1
-	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-	}
-	return 0
-}
-
-func cmdSLO(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the full SLO report as JSON")
-	maxV := fs.Int("max", 0, "max violations to print per file (0 = default 100, negative = all)")
-	export := fs.String("export", "", "export format instead of a report (chrome)")
-	outPath := fs.String("o", "", "write the export to this file instead of stdout")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	if *export != "" {
-		if *export != "chrome" {
-			fmt.Fprintf(stderr, "tracetool: unknown slo export format %q (supported: chrome)\n", *export)
-			return 2
-		}
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "tracetool: slo -export takes exactly one FILE")
-			return 2
-		}
-		return sloExport(fs.Arg(0), *outPath, stdin, stdout, stderr)
-	}
-	code := 0
-	dirty := false
-	for _, path := range fs.Args() {
-		in := stdin
-		var f *os.File
-		if path != "-" {
-			var err error
-			if f, err = os.Open(path); err != nil {
-				fmt.Fprintln(stderr, "tracetool:", err)
-				code = 1
-				continue
-			}
-			in = f
-		}
-		rep, rerr := analyze.AnalyzeSLO(in, *maxV)
-		if f != nil {
-			f.Close()
-		}
-		if rerr != nil {
-			fmt.Fprintln(stderr, "tracetool:", rerr)
-			code = 1
-			continue
-		}
-		if !printSLO(stdout, path, rep, *asJSON) {
-			dirty = true
-		}
-	}
-	if code == 0 && dirty {
-		code = 1
-	}
-	return code
-}
-
 // printSLO renders one file's SLO report, returning rep.Clean().
 func printSLO(stdout io.Writer, path string, rep *analyze.SLOReport, asJSON bool) bool {
 	if asJSON {
@@ -618,9 +508,7 @@ func printSLO(stdout io.Writer, path string, rep *analyze.SLOReport, asJSON bool
 		}{path, rep})
 		return rep.Clean()
 	}
-	for _, v := range rep.Violations {
-		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", path, v.Line, v.Kind, v.Msg)
-	}
+	printViolations(stdout, path, rep.Violations)
 	fmt.Fprintf(stdout, "%s: %d events (%d slo, %d skipped)", path, rep.Events, rep.SLOEvents, rep.Skipped)
 	if len(rep.Runs) > 0 {
 		fmt.Fprintf(stdout, ", runs %v", rep.Runs)
@@ -650,45 +538,6 @@ func printSLO(stdout io.Writer, path string, rep *analyze.SLOReport, asJSON bool
 			rep.TotalViolations, len(rep.Violations))
 	}
 	return rep.Clean()
-}
-
-// sloExport renders one trace's slo-* events as Chrome trace-event JSON.
-func sloExport(path, outPath string, stdin io.Reader, stdout, stderr io.Writer) int {
-	in := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		defer f.Close()
-		in = f
-	}
-	out := stdout
-	var outFile *os.File
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-		outFile = f
-		out = f
-	}
-	if err := analyze.SLOChromeTrace(in, out); err != nil {
-		fmt.Fprintln(stderr, "tracetool:", err)
-		if outFile != nil {
-			outFile.Close()
-		}
-		return 1
-	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracetool:", err)
-			return 1
-		}
-	}
-	return 0
 }
 
 // orDash renders v, with the analyzer's -1 "not determined" sentinel as "-".

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
@@ -107,15 +108,71 @@ func TestLintExitCodes(t *testing.T) {
 	}
 }
 
+// TestStdinInput reads "-" on every subcommand that analyzes a trace and
+// compares the output with that subcommand's golden, in which the fixture
+// path reads as "-".
 func TestStdinInput(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "sample.trace.jsonl"))
+	sample := filepath.Join("testdata", "sample.trace.jsonl")
+	fleet := filepath.Join("testdata", "fleet.trace.jsonl")
+	sloTrace := filepath.Join("testdata", "slo.trace.jsonl")
+	cases := []struct {
+		golden   string
+		stdin    string
+		args     []string
+		wantCode int
+	}{
+		{"lint.txt", sample, []string{"lint", "-", filepath.Join("testdata", "dirty.trace.jsonl")}, 1},
+		{"fleet.txt", fleet, []string{"fleet", "-"}, 0},
+		{"slo.txt", sloTrace, []string{"slo", "-"}, 0},
+		{"chrome.json", sample, []string{"export", "-"}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.args[0], func(t *testing.T) {
+			data, err := os.ReadFile(c.stdin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.ReplaceAll(string(golden), c.stdin, "-")
+			var out, errBuf bytes.Buffer
+			if code := run(c.args, bytes.NewReader(data), &out, &errBuf); code != c.wantCode {
+				t.Fatalf("exit = %d, want %d (stderr: %s)", code, c.wantCode, errBuf.String())
+			}
+			if out.String() != want {
+				t.Errorf("stdin output differs from %s with the path read as \"-\"\ngot:\n%s\nwant:\n%s",
+					c.golden, out.String(), want)
+			}
+		})
+	}
+}
+
+// TestLongLineEveryFamily: every subcommand shares the analyzer's 4 MiB
+// line limit, so a valid event whose detail exceeds 1 MiB passes lint and
+// exports under every family.
+func TestLongLineEveryFamily(t *testing.T) {
+	line, err := json.Marshal(obs.Event{
+		TUS: 1, Ev: obs.EvSLOPending, Run: "slo/1a2b3c4d", Node: "mos-floor", Seq: 1,
+		Detail: "value=3.1 min=3.600 note=" + strings.Repeat("x", 2<<20),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	code := run([]string{"lint", "-"}, bytes.NewReader(data), &out, &out)
-	if code != 0 || !strings.Contains(out.String(), "clean") {
-		t.Fatalf("lint over stdin: code %d, out %q", code, out.String())
+	path := filepath.Join(t.TempDir(), "long.trace.jsonl")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"lint", path},
+		{"export", path},
+		{"fleet", "-export", "chrome", path},
+		{"slo", "-export", "chrome", path},
+	} {
+		if code, _, stderr := exec(t, args...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q", args, code, stderr)
+		}
 	}
 }
 

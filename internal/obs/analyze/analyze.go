@@ -1,33 +1,35 @@
 // Package analyze is a streaming analytics engine over the JSONL trace
 // contract defined in docs/OBSERVABILITY.md.
 //
-// It does three jobs in a single pass over a trace, holding only
-// O(open-episodes) state:
+// A trace carries three event families, and each has its own analysis:
 //
-//   - Episode reconstruction: pairs each client link-switch to the
-//     secondary with its retrievals and the switch back, decomposing every
-//     recovery into detect / switch / retrieve delays (Table 3's "total"
-//     metric is the switch-initiation → first-useful-retrieval delay, the
-//     same quantity the client.recovery_delay_us histogram observes).
-//   - Link structure: per-(run, node) transmit outcomes, loss-burst runs,
-//     and head-drop churn.
-//   - Causality linting: every line is decoded with the strict
-//     obs.DecodeEvent, and decoded events are checked against the trace
-//     conventions — per-(run, node) timestamps never run backwards,
+//   - Packet traces (Analyze): episode reconstruction pairs each client
+//     link-switch to the secondary with its retrievals and the switch
+//     back, decomposing every recovery into detect / switch / retrieve
+//     delays (Table 3's "total" metric is the switch-initiation →
+//     first-useful-retrieval delay, the same quantity the
+//     client.recovery_delay_us histogram observes); per-(run, node)
+//     transmit outcomes, loss-burst runs, and head-drop churn; and a
+//     causality lint — per-(run, node) timestamps never run backwards,
 //     episodes are well-formed (open before close, retrievals only while
 //     open), retrieval durations are consistent with their episode start,
 //     and every retrieval inside an AP-served episode was preceded by a
-//     delivered tx for that sequence number. Violations carry the 1-based
-//     line number of the offending event.
+//     delivered tx for that sequence number.
+//   - fleet-trace-v1 (AnalyzeFleet): a sharded sweep's lease lifecycle.
+//   - slo-trace-v1 (AnalyzeSLO): the SLO engine's alert episodes.
 //
-// The entry points are Analyze (read a whole stream) and the incremental
-// Analyzer (feed lines as they arrive, e.g. from a live pipe). cmd/tracetool
-// is the CLI front end.
+// One driver runs every family in a single pass holding only
+// O(open-episodes) state. It owns what the families share: line
+// accounting, the strict obs.DecodeEvent decode (a rejected line is a
+// decode violation), the violation cap, the 4 MiB line limit, run
+// collection, and the Chrome trace-event layout (ChromeTrace,
+// FleetChromeTrace, SLOChromeTrace). Each family supplies its event
+// filter, state machine, report, and Chrome slices. Violations carry the
+// 1-based line number of the offending event. cmd/tracetool is the CLI
+// front end.
 package analyze
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -71,10 +73,6 @@ type Options struct {
 	// KeepEpisodes retains every reconstructed episode in Report.Episodes
 	// (in close order). Off by default to keep memory O(open-episodes).
 	KeepEpisodes bool
-	// OnEpisode, when non-nil, is invoked for each episode as it closes
-	// (and for episodes still open at Finish, with EndUS = -1). It lets
-	// callers stream episodes without retaining them.
-	OnEpisode func(Episode)
 	// MaxViolations caps Report.Violations: 0 selects
 	// DefaultMaxViolations, negative keeps every violation.
 	MaxViolations int
@@ -82,10 +80,6 @@ type Options struct {
 	// simulated time (Report.Points) — the trace-derived counterpart of
 	// obs.Series.
 	WindowUS int64
-	// LossHorizonUS bounds how far back a tx-lost event can be the
-	// detect-delay trigger of a recovery switch (0 selects
-	// DefaultLossHorizonUS).
-	LossHorizonUS int64
 }
 
 // runState is the per-run streaming state: the open episode (if any), the
@@ -99,40 +93,27 @@ type runState struct {
 	lastNodeT    map[string]int64
 }
 
-// Analyzer is the incremental form of Analyze: feed it one JSONL line at a
-// time with Line, then call Finish once for the Report. Not safe for
-// concurrent use.
-type Analyzer struct {
+// packetAnalyzer is the packet-trace family: every decoded event belongs
+// to it.
+type packetAnalyzer struct {
+	driver
 	opts    Options
-	maxV    int
-	horizon int64
 	rep     *Report
-	runs    map[string]*runState
+	states  map[string]*runState
 	windows map[int64]map[string]int64
-	line    int64
 }
 
-// New returns an Analyzer with the given options.
-func New(opts Options) *Analyzer {
-	maxV := opts.MaxViolations
-	if maxV == 0 {
-		maxV = DefaultMaxViolations
-	}
-	horizon := opts.LossHorizonUS
-	if horizon <= 0 {
-		horizon = DefaultLossHorizonUS
-	}
-	a := &Analyzer{
-		opts:    opts,
-		maxV:    maxV,
-		horizon: horizon,
+func newPacket(opts Options) *packetAnalyzer {
+	a := &packetAnalyzer{
+		driver: newDriver(opts.MaxViolations),
+		opts:   opts,
 		rep: &Report{
 			FirstUS: -1,
 			LastUS:  -1,
 			ByType:  make(map[string]int64),
 			Links:   make(map[string]*LinkStats),
 		},
-		runs: make(map[string]*runState),
+		states: make(map[string]*runState),
 	}
 	if opts.WindowUS > 0 {
 		a.windows = make(map[int64]map[string]int64)
@@ -140,30 +121,12 @@ func New(opts Options) *Analyzer {
 	return a
 }
 
-// Line feeds one raw trace line (without its trailing newline). Blank and
-// whitespace-only lines are skipped — the JSONL convention — and counted in
-// Report.Blank.
-func (a *Analyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
-	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
-}
+func (a *packetAnalyzer) accepts(string) bool { return true }
 
 // event processes one decoded event through the ordering lint, the link
 // accumulators, the window buckets, and the episode state machine.
-func (a *Analyzer) event(ev obs.Event) {
+func (a *packetAnalyzer) event(ev obs.Event) {
 	r := a.rep
-	r.Events++
 	r.ByType[ev.Ev]++
 	if r.FirstUS < 0 || ev.TUS < r.FirstUS {
 		r.FirstUS = ev.TUS
@@ -172,10 +135,10 @@ func (a *Analyzer) event(ev obs.Event) {
 		r.LastUS = ev.TUS
 	}
 
-	rs := a.runs[ev.Run]
+	rs := a.states[ev.Run]
 	if rs == nil {
 		rs = &runState{lastNodeT: make(map[string]int64)}
-		a.runs[ev.Run] = rs
+		a.states[ev.Run] = rs
 	}
 	// Ordering convention: one (run, node) pair emits in non-decreasing
 	// timestamp order. Different nodes may interleave out of order (a
@@ -224,7 +187,7 @@ func (a *Analyzer) event(ev obs.Event) {
 			if ls.curBurst > ls.MaxBurst {
 				ls.MaxBurst = ls.curBurst
 			}
-			rs.noteLost(ev.Seq, ev.TUS, a.horizon)
+			rs.noteLost(ev.Seq, ev.TUS)
 		}
 	case obs.EvRetry:
 		ls.Retries++
@@ -246,7 +209,7 @@ func (a *Analyzer) event(ev obs.Event) {
 }
 
 // linkSwitch advances the episode state machine on a link-switch event.
-func (a *Analyzer) linkSwitch(rs *runState, ev obs.Event) {
+func (a *packetAnalyzer) linkSwitch(rs *runState, ev obs.Event) {
 	switch ev.Detail {
 	case obs.SwitchToSecondary, obs.SwitchKeepalive:
 		if rs.open != nil {
@@ -295,7 +258,7 @@ func (a *Analyzer) linkSwitch(rs *runState, ev obs.Event) {
 
 // retrieve checks one retrieve-from-secondary event against its episode and
 // accounts the Table 3 delays.
-func (a *Analyzer) retrieve(rs *runState, ev obs.Event) {
+func (a *packetAnalyzer) retrieve(rs *runState, ev obs.Event) {
 	a.rep.Retrieved++
 	e := rs.open
 	if e == nil {
@@ -331,22 +294,19 @@ func (a *Analyzer) retrieve(rs *runState, ev obs.Event) {
 
 // closeEpisode finalizes the run's open episode with the given end time
 // (-1 marks an episode that never closed).
-func (a *Analyzer) closeEpisode(rs *runState, endUS int64) {
+func (a *packetAnalyzer) closeEpisode(rs *runState, endUS int64) {
 	e := rs.open
 	rs.open = nil
 	rs.delivered = nil
 	rs.sawDelivered = false
 	e.EndUS = endUS
-	if a.opts.OnEpisode != nil {
-		a.opts.OnEpisode(*e)
-	}
 	if a.opts.KeepEpisodes {
 		a.rep.Episodes = append(a.rep.Episodes, *e)
 	}
 }
 
 // link returns the per-(run, node) accumulator.
-func (a *Analyzer) link(run, node string) *LinkStats {
+func (a *packetAnalyzer) link(run, node string) *LinkStats {
 	key := node
 	if run != "" {
 		key = run + "/" + node
@@ -359,24 +319,11 @@ func (a *Analyzer) link(run, node string) *LinkStats {
 	return ls
 }
 
-// violate records one lint violation at the current line.
-func (a *Analyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
-	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Finish closes still-open episodes and loss bursts and returns the Report.
-// The Analyzer must not be used afterwards.
-func (a *Analyzer) Finish() *Report {
-	for _, run := range sortedRuns(a.runs) {
-		rs := a.runs[run]
+// finish closes still-open episodes and loss bursts and completes the
+// Report.
+func (a *packetAnalyzer) finish() {
+	for _, run := range a.sortedRuns() {
+		rs := a.states[run]
 		if rs.open != nil {
 			a.rep.Unclosed++
 			a.violate(VEpisode, "episode open since t=%d never closed (run %q)",
@@ -387,7 +334,10 @@ func (a *Analyzer) Finish() *Report {
 	for _, ls := range a.rep.Links {
 		ls.endBurst()
 	}
-	a.rep.Runs = sortedRuns(a.runs)
+	r := a.rep
+	r.Lines, r.Blank, r.Events = a.line, a.blank, a.events
+	r.Runs = a.sortedRuns()
+	r.Violations, r.TotalViolations = a.violations, a.totalViolations
 	if a.windows != nil {
 		starts := make([]int64, 0, len(a.windows))
 		for b := range a.windows {
@@ -395,53 +345,38 @@ func (a *Analyzer) Finish() *Report {
 		}
 		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 		for _, b := range starts {
-			a.rep.Points = append(a.rep.Points, TracePoint{
+			r.Points = append(r.Points, TracePoint{
 				StartUS: b,
 				EndUS:   b + a.opts.WindowUS,
 				Counts:  a.windows[b],
 			})
 		}
 	}
-	return a.rep
 }
 
 // noteLost remembers seq's loss time for detect-delay pairing, pruning
 // entries past the horizon so the map stays bounded.
-func (rs *runState) noteLost(seq int, tUS, horizon int64) {
+func (rs *runState) noteLost(seq int, tUS int64) {
 	if rs.lostAt == nil {
 		rs.lostAt = make(map[int]int64)
 	}
 	rs.lostAt[seq] = tUS
 	if len(rs.lostAt) > 256 {
 		for s, t := range rs.lostAt {
-			if t < tUS-horizon {
+			if t < tUS-DefaultLossHorizonUS {
 				delete(rs.lostAt, s)
 			}
 		}
 	}
 }
 
-func sortedRuns(m map[string]*runState) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Analyze runs a full pass over a JSONL trace stream. The error is nil
 // unless reading r itself fails (a line longer than 4 MiB counts as a read
 // failure); malformed lines are reported as violations, not errors.
 func Analyze(r io.Reader, opts Options) (*Report, error) {
-	a := New(opts)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
-	}
-	if err := sc.Err(); err != nil {
+	a := newPacket(opts)
+	if err := scan(r, a); err != nil {
 		return nil, fmt.Errorf("analyze: read trace: %w", err)
 	}
-	return a.Finish(), nil
+	return a.rep, nil
 }

@@ -1,8 +1,6 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,16 +10,16 @@ import (
 )
 
 // Chrome trace-event export: convert a JSONL trace (docs/OBSERVABILITY.md)
-// into the Trace Event Format that chrome://tracing and Perfetto load, so a
-// recovery episode can be inspected on a zoomable timeline instead of grep.
+// into the Trace Event Format that chrome://tracing and Perfetto load, so an
+// episode can be inspected on a zoomable timeline instead of grep.
 //
-// Layout:
+// Every family shares one layout: one process (pid) per run label, named
+// after the run, and one thread (tid) per lane within the run, with ids
+// assigned in sorted (run, lane) order. The packet family's lanes are:
 //
-//   - one process (pid) per run label, named after the run;
-//   - one thread (tid) per trace node within the run (prim, sec, client,
-//     ...), carrying that node's packet events — tx/retrieve as duration
-//     slices (they have dur_us), retry/drop/head-drop/playout-miss as
-//     instants;
+//   - one per trace node (prim, sec, client, ...), carrying that node's
+//     packet events — tx/retrieve as duration slices (they have dur_us),
+//     retry/drop/head-drop/playout-miss as instants;
 //   - two synthetic per-run tracks: "episodes" holds each secondary visit
 //     as one slice spanning switch-out to switch-back, and "episode phases"
 //     decomposes the same visit into its detect → switch → retrieve delay
@@ -30,8 +28,7 @@ import (
 //     episode slice opens — the spans overlap rather than nest.
 //
 // Output is deterministic for a given input: events are emitted in input
-// order, track/process ids are assigned in sorted (run, node) order, and
-// every JSON object uses fixed field order.
+// order and every JSON object uses fixed field order.
 
 // chromeEvent is one Trace Event Format entry. Field order (and the
 // omission rules) are fixed so exports are byte-stable for golden tests.
@@ -76,105 +73,111 @@ const (
 	chromePhaseTrack   = "episode phases"
 )
 
+// chromeNames labels an export's processes and threads: every process is
+// "run <label>", every thread lanePrefix + lane.
+type chromeNames struct {
+	noRun      string // label of the empty run
+	lanePrefix string
+}
+
+// chromeLayout maps each run to its process id and each of the run's lanes
+// to a thread id.
+type chromeLayout struct {
+	pid map[string]int
+	tid map[string]map[string]int
+}
+
+// layoutChrome assigns pids to runs and tids to (run, lane) tracks in
+// sorted order, so the layout is independent of event order, and returns
+// the process and thread metadata events.
+func layoutChrome(lanes map[string]map[string]bool, names chromeNames) (*chromeLayout, []chromeEvent) {
+	lay := &chromeLayout{pid: map[string]int{}, tid: map[string]map[string]int{}}
+	meta := []chromeEvent{}
+	for i, run := range sortedKeys(lanes) {
+		pid := i + 1
+		lay.pid[run] = pid
+		label := run
+		if label == "" {
+			label = names.noRun
+		}
+		meta = append(meta, chromeEvent{
+			Name: "process_name", Ph: "M", PID: pid,
+			Args: &chromeArgs{Name: "run " + label},
+		})
+		lay.tid[run] = map[string]int{}
+		for j, lane := range sortedKeys(lanes[run]) {
+			lay.tid[run][lane] = j + 1
+			meta = append(meta, chromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: j + 1,
+				Args: &chromeArgs{Name: names.lanePrefix + lane},
+			})
+		}
+	}
+	return lay, meta
+}
+
+// writeChrome runs one pass of family f over r and writes its indented
+// Chrome trace-event document to w: one lane per (run, node) of the
+// family's events plus the family's synthetic lanes, then the family's
+// slices. Undecodable lines are skipped (the family's lint reports them);
+// the error reports only read or encode failures, prefixed with what.
+func writeChrome(r io.Reader, w io.Writer, f family, names chromeNames, what string) error {
+	d := f.base()
+	d.keep = true
+	if err := scan(r, f); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	lanes := map[string]map[string]bool{}
+	add := func(run, lane string) {
+		if lanes[run] == nil {
+			lanes[run] = map[string]bool{}
+		}
+		lanes[run][lane] = true
+	}
+	for _, ev := range d.kept {
+		add(ev.Run, ev.Node)
+	}
+	f.chromeLanes(add)
+	lay, meta := layoutChrome(lanes, names)
+	doc := chromeDoc{TraceEvents: append(meta, f.chromeSlices(d.kept, lay)...), DisplayTimeUnit: "ms"}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	if _, err := w.Write(append(data, '\n')); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
 // ChromeTrace converts one JSONL trace from r into an indented Chrome
 // trace-event JSON document on w. Lines the strict decoder rejects are
 // skipped (run `tracetool lint` for the findings); the error reports only
 // read or encode failures.
 func ChromeTrace(r io.Reader, w io.Writer) error {
-	var events []obs.Event
-	var episodes []Episode
-	an := New(Options{OnEpisode: func(e Episode) { episodes = append(episodes, e) }})
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		an.Line(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		ev, err := obs.DecodeEvent(line)
-		if err != nil {
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	an.Finish()
-
-	doc := buildChromeDoc(events, episodes)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("chrome export: %w", err)
-	}
-	return nil
+	return writeChrome(r, w, newPacket(Options{KeepEpisodes: true}),
+		chromeNames{noRun: "(no run)"}, "chrome export")
 }
 
-// buildChromeDoc lays out tracks and renders every event and episode.
-func buildChromeDoc(events []obs.Event, episodes []Episode) *chromeDoc {
-	// Assign pids to runs and tids to (run, node) tracks in sorted order so
-	// the layout is independent of event order.
-	runSet := map[string]map[string]bool{}
-	addTrack := func(run, node string) {
-		if runSet[run] == nil {
-			runSet[run] = map[string]bool{}
-		}
-		runSet[run][node] = true
+// chromeLanes gives every run with an episode its two synthetic tracks.
+func (a *packetAnalyzer) chromeLanes(add func(run, lane string)) {
+	for _, e := range a.rep.Episodes {
+		add(e.Run, chromeEpisodeTrack)
+		add(e.Run, chromePhaseTrack)
 	}
+}
+
+// chromeSlices renders every event on its node track, then every episode
+// on its run's synthetic tracks.
+func (a *packetAnalyzer) chromeSlices(events []obs.Event, lay *chromeLayout) []chromeEvent {
+	var out []chromeEvent
 	for _, ev := range events {
-		addTrack(ev.Run, ev.Node)
+		out = append(out, packetEvent(ev, lay.pid[ev.Run], lay.tid[ev.Run][ev.Node]))
 	}
-	for _, e := range episodes {
-		addTrack(e.Run, chromeEpisodeTrack)
-		addTrack(e.Run, chromePhaseTrack)
+	for _, e := range a.rep.Episodes {
+		out = append(out, episodeEvents(e, lay.pid[e.Run], lay.tid[e.Run])...)
 	}
-
-	runs := make([]string, 0, len(runSet))
-	for run := range runSet {
-		runs = append(runs, run)
-	}
-	sort.Strings(runs)
-
-	doc := &chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	pid := map[string]int{}
-	tid := map[string]map[string]int{}
-	for i, run := range runs {
-		pid[run] = i + 1
-		name := run
-		if name == "" {
-			name = "(no run)"
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid[run],
-			Args: &chromeArgs{Name: "run " + name},
-		})
-		nodes := make([]string, 0, len(runSet[run]))
-		for node := range runSet[run] {
-			nodes = append(nodes, node)
-		}
-		sort.Strings(nodes)
-		tid[run] = map[string]int{}
-		for j, node := range nodes {
-			tid[run][node] = j + 1
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid[run], TID: j + 1,
-				Args: &chromeArgs{Name: node},
-			})
-		}
-	}
-
-	for _, ev := range events {
-		doc.TraceEvents = append(doc.TraceEvents, packetEvent(ev, pid[ev.Run], tid[ev.Run][ev.Node]))
-	}
-	for _, e := range episodes {
-		doc.TraceEvents = append(doc.TraceEvents, episodeEvents(e, pid[e.Run], tid[e.Run])...)
-	}
-	return doc
+	return out
 }
 
 // packetEvent renders one trace event on its node track: a duration slice
@@ -245,3 +248,12 @@ func episodeEvents(e Episode, pid int, tids map[string]int) []chromeEvent {
 
 func intPtr(v int) *int       { return &v }
 func int64Ptr(v int64) *int64 { return &v }
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

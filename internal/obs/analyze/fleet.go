@@ -1,8 +1,6 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -117,10 +115,9 @@ type pendingSpan struct {
 	seq      int // expired lease's sequence
 }
 
-// FleetAnalyzer is the incremental fleet-trace engine: feed JSONL lines
-// with Line, then Finish. Not safe for concurrent use.
-type FleetAnalyzer struct {
-	maxV     int
+// fleetAnalyzer is the fleet-trace family.
+type fleetAnalyzer struct {
+	driver
 	rep      *FleetReport
 	episodes map[int]*LeaseEpisode // by lease seq
 	pending  []pendingSpan         // expired intervals not yet re-granted
@@ -129,18 +126,11 @@ type FleetAnalyzer struct {
 	remaining map[int]int64
 	order     []*LeaseEpisode  // episodes in grant order
 	lastT     map[string]int64 // (run\x00node\x00src) → high-water timestamp
-	runs      map[string]bool
-	line      int64
 }
 
-// NewFleet returns a FleetAnalyzer. maxViolations caps retained findings
-// (0 selects DefaultMaxViolations, negative keeps all).
-func NewFleet(maxViolations int) *FleetAnalyzer {
-	if maxViolations == 0 {
-		maxViolations = DefaultMaxViolations
-	}
-	return &FleetAnalyzer{
-		maxV: maxViolations,
+func newFleet(maxViolations int) *fleetAnalyzer {
+	return &fleetAnalyzer{
+		driver: newDriver(maxViolations),
 		rep: &FleetReport{
 			ByType: map[string]int64{},
 			Lanes:  map[string]*FleetLane{},
@@ -148,28 +138,10 @@ func NewFleet(maxViolations int) *FleetAnalyzer {
 		episodes:  map[int]*LeaseEpisode{},
 		remaining: map[int]int64{},
 		lastT:     map[string]int64{},
-		runs:      map[string]bool{},
 	}
 }
 
-// Line feeds one raw trace line (without its trailing newline).
-func (a *FleetAnalyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
-	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
-}
-
-func isFleetEvent(typ string) bool {
+func (a *fleetAnalyzer) accepts(typ string) bool {
 	switch typ {
 	case obs.EvSpecFetch, obs.EvLeaseGrant, obs.EvFleetHeartbeat,
 		obs.EvLeaseExpire, obs.EvReLease, obs.EvLeaseComplete, obs.EvRejectStale:
@@ -180,15 +152,8 @@ func isFleetEvent(typ string) bool {
 
 // event routes one decoded event through lanes, the ordering lint, and —
 // for src=coord events — the lease state machine.
-func (a *FleetAnalyzer) event(ev obs.Event) {
-	a.rep.Events++
-	if !isFleetEvent(ev.Ev) {
-		a.rep.Skipped++
-		return
-	}
-	a.rep.FleetEvents++
+func (a *fleetAnalyzer) event(ev obs.Event) {
 	a.rep.ByType[ev.Ev]++
-	a.runs[ev.Run] = true
 	tok := parseTokens(ev.Detail)
 	src := tok["src"]
 
@@ -278,10 +243,10 @@ func (a *FleetAnalyzer) event(ev obs.Event) {
 }
 
 // grant handles lease-grant and re-lease events.
-func (a *FleetAnalyzer) grant(ev obs.Event, tok map[string]string, reLease bool) {
+func (a *fleetAnalyzer) grant(ev obs.Event, tok map[string]string, reLease bool) {
 	from, to, ok := parseSpan(tok["span"])
 	if !ok {
-		a.violate(VDecode, "%s at t=%d for lease L%d has no span=a:b token (detail %q)",
+		a.violate(VLease, "%s at t=%d for lease L%d has no span=a:b token (detail %q)",
 			ev.Ev, ev.TUS, ev.Seq, ev.Detail)
 	}
 	if prev := a.episodes[ev.Seq]; prev != nil {
@@ -311,15 +276,15 @@ func (a *FleetAnalyzer) grant(ev obs.Event, tok map[string]string, reLease bool)
 // consumePending subtracts a re-granted span from the expired-interval
 // pool, closing expire→re-lease episodes whose span is fully recovered.
 // Returns how many jobs of [from, to) were actually pending.
-func (a *FleetAnalyzer) consumePending(from, to int64) int64 {
+func (a *fleetAnalyzer) consumePending(from, to int64) int64 {
 	var took int64
 	for i := 0; i < len(a.pending); i++ {
 		p := &a.pending[i]
 		if p.to <= p.from || to <= p.from || p.to <= from {
 			continue
 		}
-		lo := max64a(from, p.from)
-		hi := min64a(to, p.to)
+		lo := max(from, p.from)
+		hi := min(to, p.to)
 		took += hi - lo
 		// Shrink the pending interval (pending intervals are disjoint, so
 		// each overlaps [from, to) independently).
@@ -348,7 +313,7 @@ func (a *FleetAnalyzer) consumePending(from, to int64) int64 {
 	return took
 }
 
-func (a *FleetAnalyzer) coveredByPending(from, to int64) bool {
+func (a *fleetAnalyzer) coveredByPending(from, to int64) bool {
 	for _, p := range a.pending {
 		if p.to > p.from && from < p.to && p.from < to {
 			return true
@@ -357,22 +322,8 @@ func (a *FleetAnalyzer) coveredByPending(from, to int64) bool {
 	return false
 }
 
-// violate records one lint violation at the current line.
-func (a *FleetAnalyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
-	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Finish lints end-of-trace invariants and returns the report. The
-// analyzer must not be used afterwards.
-func (a *FleetAnalyzer) Finish() *FleetReport {
+// finish lints end-of-trace invariants and completes the report.
+func (a *fleetAnalyzer) finish() {
 	seqs := make([]int, 0, len(a.remaining))
 	for seq := range a.remaining {
 		seqs = append(seqs, seq)
@@ -382,31 +333,86 @@ func (a *FleetAnalyzer) Finish() *FleetReport {
 		a.violate(VLease, "lease L%d expired but %d jobs of its span were never re-leased",
 			seq, a.remaining[seq])
 	}
-	a.rep.Leases = a.rep.Leases[:0]
+	r := a.rep
 	for _, e := range a.order {
-		a.rep.Leases = append(a.rep.Leases, *e)
+		r.Leases = append(r.Leases, *e)
 	}
-	a.rep.Runs = make([]string, 0, len(a.runs))
-	for run := range a.runs {
-		a.rep.Runs = append(a.rep.Runs, run)
-	}
-	sort.Strings(a.rep.Runs)
-	return a.rep
+	r.Lines, r.Blank, r.Events = a.line, a.blank, a.events
+	r.FleetEvents, r.Skipped = a.events-a.skipped, a.skipped
+	r.Runs = a.sortedRuns()
+	r.Violations, r.TotalViolations = a.violations, a.totalViolations
 }
 
 // AnalyzeFleet runs a full fleet pass over a JSONL trace stream. The error
 // is nil unless reading r itself fails; malformed lines are violations.
 func AnalyzeFleet(r io.Reader, maxViolations int) (*FleetReport, error) {
-	a := NewFleet(maxViolations)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
-	}
-	if err := sc.Err(); err != nil {
+	a := newFleet(maxViolations)
+	if err := scan(r, a); err != nil {
 		return nil, fmt.Errorf("analyze: read fleet trace: %w", err)
 	}
-	return a.Finish(), nil
+	return a.rep, nil
+}
+
+// Fleet Chrome trace-event export: each worker gets its own lane, so a
+// sharded sweep's lease churn reads as a per-worker Gantt chart in
+// chrome://tracing or Perfetto. Coordinator-authoritative lease episodes
+// render as duration slices spanning grant → complete/expire (open leases
+// get a zero-length span at the grant); heartbeats, stale rejects, and
+// spec fetches render as instants.
+
+// FleetChromeTrace converts one fleet JSONL trace from r into an indented
+// Chrome trace-event JSON document on w. Non-fleet and undecodable lines
+// are skipped (run `tracetool fleet` for lint findings); the error reports
+// only read or encode failures.
+func FleetChromeTrace(r io.Reader, w io.Writer) error {
+	return writeChrome(r, w, newFleet(-1),
+		chromeNames{noRun: "(no run)", lanePrefix: "worker "}, "fleet chrome export")
+}
+
+func (a *fleetAnalyzer) chromeLanes(func(run, lane string)) {}
+
+// chromeSlices renders lease spans on the holder's lane, then every fleet
+// event as an instant on its lane, in input order.
+func (a *fleetAnalyzer) chromeSlices(events []obs.Event, lay *chromeLayout) []chromeEvent {
+	// Episodes come from the coordinator record, so each knows its run only
+	// via its worker's events; a fleet trace carries exactly one run label
+	// in practice, so attribute spans to the run of the first event
+	// (fallback "").
+	run := ""
+	if len(events) > 0 {
+		run = events[0].Run
+	}
+	var out []chromeEvent
+	for _, e := range a.rep.Leases {
+		name := e.ID
+		if e.ReLease {
+			name = e.ID + " (re-lease)"
+		}
+		span := chromeEvent{
+			Name: name, Cat: "lease", Ph: "X",
+			PID: lay.pid[run], TID: lay.tid[run][e.Worker], TS: e.GrantUS, Dur: int64Ptr(0),
+			Args: &chromeArgs{Detail: fmt.Sprintf("span=%d:%d outcome=%s heartbeats=%d",
+				e.From, e.To, e.Outcome, e.Heartbeats)},
+		}
+		if e.EndUS >= e.GrantUS {
+			span.Dur = int64Ptr(e.EndUS - e.GrantUS)
+		}
+		out = append(out, span)
+	}
+	for _, ev := range events {
+		ce := chromeEvent{
+			Name: ev.Ev, Cat: ev.Ev, Ph: "i", S: "t",
+			PID: lay.pid[ev.Run], TID: lay.tid[ev.Run][ev.Node], TS: ev.TUS,
+		}
+		if ev.Seq >= 0 {
+			ce.Name = fmt.Sprintf("%s L%d", ev.Ev, ev.Seq)
+			ce.Args = &chromeArgs{Seq: intPtr(ev.Seq), Detail: ev.Detail}
+		} else if ev.Detail != "" {
+			ce.Args = &chromeArgs{Detail: ev.Detail}
+		}
+		out = append(out, ce)
+	}
+	return out
 }
 
 // parseTokens splits a fleet event's detail ("src=coord span=0:64") into
@@ -430,18 +436,4 @@ func parseSpan(s string) (from, to int64, ok bool) {
 	from, err1 := strconv.ParseInt(s[:i], 10, 64)
 	to, err2 := strconv.ParseInt(s[i+1:], 10, 64)
 	return from, to, err1 == nil && err2 == nil
-}
-
-func min64a(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64a(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -126,6 +126,12 @@ func TestFleetLintViolations(t *testing.T) {
 			VLease, "still open",
 		},
 		{
+			// The line decodes fine, so the finding is not a decode one.
+			"grant without span token",
+			[]obs.Event{coordEvent(1, obs.EvLeaseGrant, "w0", 1, "src=coord")},
+			VLease, "no span=a:b token",
+		},
+		{
 			"timestamps backwards within one src stream",
 			[]obs.Event{
 				coordEvent(5, obs.EvLeaseGrant, "w0", 1, "src=coord span=0:8"),

@@ -1,12 +1,8 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -89,27 +85,19 @@ type SLOReport struct {
 // Clean reports whether the trace passed the SLO lint.
 func (r *SLOReport) Clean() bool { return r.TotalViolations == 0 }
 
-// SLOAnalyzer is the incremental slo-trace engine: feed JSONL lines with
-// Line, then Finish. Not safe for concurrent use.
-type SLOAnalyzer struct {
-	maxV     int
+// sloAnalyzer is the slo-trace family.
+type sloAnalyzer struct {
+	driver
 	rep      *SLOReport
 	episodes map[string]*SLOEpisode // open episode per (run, rule)
 	lastSeq  map[string]int         // highest seq per (run, rule)
 	order    []*SLOEpisode          // episodes in pending order
 	lastT    map[string]int64       // (run, rule) → high-water timestamp
-	runs     map[string]bool
-	line     int64
 }
 
-// NewSLO returns an SLOAnalyzer. maxViolations caps retained findings
-// (0 selects DefaultMaxViolations, negative keeps all).
-func NewSLO(maxViolations int) *SLOAnalyzer {
-	if maxViolations == 0 {
-		maxViolations = DefaultMaxViolations
-	}
-	return &SLOAnalyzer{
-		maxV: maxViolations,
+func newSLO(maxViolations int) *sloAnalyzer {
+	return &sloAnalyzer{
+		driver: newDriver(maxViolations),
 		rep: &SLOReport{
 			ByType: map[string]int64{},
 			Rules:  map[string]*SLORuleStat{},
@@ -117,11 +105,10 @@ func NewSLO(maxViolations int) *SLOAnalyzer {
 		episodes: map[string]*SLOEpisode{},
 		lastSeq:  map[string]int{},
 		lastT:    map[string]int64{},
-		runs:     map[string]bool{},
 	}
 }
 
-func isSLOEvent(typ string) bool {
+func (a *sloAnalyzer) accepts(typ string) bool {
 	switch typ {
 	case obs.EvSLOPending, obs.EvSLOFiring, obs.EvSLOResolved:
 		return true
@@ -129,34 +116,10 @@ func isSLOEvent(typ string) bool {
 	return false
 }
 
-// Line feeds one raw trace line (without its trailing newline).
-func (a *SLOAnalyzer) Line(data []byte) {
-	a.line++
-	a.rep.Lines++
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		a.rep.Blank++
-		return
-	}
-	ev, err := obs.DecodeEvent(trimmed)
-	if err != nil {
-		a.violate(VDecode, "%v", err)
-		return
-	}
-	a.event(ev)
-}
-
 // event routes one decoded event through the ordering lint and the alert
 // state machine.
-func (a *SLOAnalyzer) event(ev obs.Event) {
-	a.rep.Events++
-	if !isSLOEvent(ev.Ev) {
-		a.rep.Skipped++
-		return
-	}
-	a.rep.SLOEvents++
+func (a *sloAnalyzer) event(ev obs.Event) {
 	a.rep.ByType[ev.Ev]++
-	a.runs[ev.Run] = true
 
 	key := ev.Run + "\x00" + ev.Node
 	if last, seen := a.lastT[key]; seen && ev.TUS < last {
@@ -230,50 +193,29 @@ func (a *SLOAnalyzer) event(ev obs.Event) {
 	}
 }
 
-// violate records one lint violation at the current line.
-func (a *SLOAnalyzer) violate(kind, format string, args ...any) {
-	a.rep.TotalViolations++
-	if a.maxV >= 0 && len(a.rep.Violations) >= a.maxV {
-		return
-	}
-	a.rep.Violations = append(a.rep.Violations, Violation{
-		Line: a.line,
-		Kind: kind,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Finish closes the pass and returns the report. The analyzer must not be
-// used afterwards.
-func (a *SLOAnalyzer) Finish() *SLOReport {
+// finish counts the episodes still open and completes the report.
+func (a *sloAnalyzer) finish() {
+	r := a.rep
 	for _, e := range a.episodes {
-		a.rep.Rules[e.Rule].Open++
+		r.Rules[e.Rule].Open++
 	}
-	a.rep.Episodes = a.rep.Episodes[:0]
 	for _, e := range a.order {
-		a.rep.Episodes = append(a.rep.Episodes, *e)
+		r.Episodes = append(r.Episodes, *e)
 	}
-	a.rep.Runs = make([]string, 0, len(a.runs))
-	for run := range a.runs {
-		a.rep.Runs = append(a.rep.Runs, run)
-	}
-	sort.Strings(a.rep.Runs)
-	return a.rep
+	r.Lines, r.Blank, r.Events = a.line, a.blank, a.events
+	r.SLOEvents, r.Skipped = a.events-a.skipped, a.skipped
+	r.Runs = a.sortedRuns()
+	r.Violations, r.TotalViolations = a.violations, a.totalViolations
 }
 
 // AnalyzeSLO runs a full slo-trace pass over a JSONL stream. The error is
 // nil unless reading r itself fails; malformed lines are violations.
 func AnalyzeSLO(r io.Reader, maxViolations int) (*SLOReport, error) {
-	a := NewSLO(maxViolations)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		a.Line(sc.Bytes())
-	}
-	if err := sc.Err(); err != nil {
+	a := newSLO(maxViolations)
+	if err := scan(r, a); err != nil {
 		return nil, fmt.Errorf("analyze: read slo trace: %w", err)
 	}
-	return a.Finish(), nil
+	return a.rep, nil
 }
 
 // SLOChromeTrace converts the slo-* events of one JSONL trace into Chrome
@@ -281,112 +223,46 @@ func AnalyzeSLO(r io.Reader, maxViolations int) (*SLOReport, error) {
 // span from pending to resolved (with its firing arc as a nested slice)
 // plus the transitions as instants.
 func SLOChromeTrace(r io.Reader, w io.Writer) error {
-	var events []obs.Event
-	a := NewSLO(-1)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		a.Line(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		ev, err := obs.DecodeEvent(line)
-		if err != nil || !isSLOEvent(ev.Ev) {
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	rep := a.Finish()
-
-	doc := buildSLOChromeDoc(events, rep)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("slo chrome export: %w", err)
-	}
-	return nil
+	// The engine always labels its run, so the empty run has no label.
+	return writeChrome(r, w, newSLO(-1), chromeNames{lanePrefix: "rule "}, "slo chrome export")
 }
 
-// buildSLOChromeDoc lays out per-run processes and per-rule lanes, then
-// renders episode spans, firing arcs, and transition instants.
-func buildSLOChromeDoc(events []obs.Event, rep *SLOReport) *chromeDoc {
-	runSet := map[string]map[string]bool{}
-	for _, ev := range events {
-		if runSet[ev.Run] == nil {
-			runSet[ev.Run] = map[string]bool{}
-		}
-		runSet[ev.Run][ev.Node] = true
-	}
-	runs := make([]string, 0, len(runSet))
-	for run := range runSet {
-		runs = append(runs, run)
-	}
-	sort.Strings(runs)
+func (a *sloAnalyzer) chromeLanes(func(run, lane string)) {}
 
-	doc := &chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	pid := map[string]int{}
-	tid := map[string]map[string]int{}
+// chromeSlices renders episode spans and firing arcs, then every
+// transition as an instant on its rule's lane.
+func (a *sloAnalyzer) chromeSlices(events []obs.Event, lay *chromeLayout) []chromeEvent {
 	lastUS := map[string]int64{}
 	for _, ev := range events {
 		if ev.TUS > lastUS[ev.Run] {
 			lastUS[ev.Run] = ev.TUS
 		}
 	}
-	for i, run := range runs {
-		pid[run] = i + 1
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid[run],
-			Args: &chromeArgs{Name: "run " + run},
-		})
-		rules := make([]string, 0, len(runSet[run]))
-		for rule := range runSet[run] {
-			rules = append(rules, rule)
-		}
-		sort.Strings(rules)
-		tid[run] = map[string]int{}
-		for j, rule := range rules {
-			tid[run][rule] = j + 1
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid[run], TID: j + 1,
-				Args: &chromeArgs{Name: "rule " + rule},
-			})
-		}
-	}
-
-	for _, e := range rep.Episodes {
+	var out []chromeEvent
+	for _, e := range a.rep.Episodes {
 		end := e.ResolvedUS
 		if end < 0 {
 			end = lastUS[e.Run] // open episode: span to end of trace
 		}
-		seq := e.Seq
-		span := chromeEvent{
+		pid, tid := lay.pid[e.Run], lay.tid[e.Run][e.Rule]
+		out = append(out, chromeEvent{
 			Name: fmt.Sprintf("episode %d", e.Seq), Cat: "slo-episode", Ph: "X",
-			PID: pid[e.Run], TID: tid[e.Run][e.Rule], TS: e.PendingUS,
-			Dur:  int64Ptr(end - e.PendingUS),
-			Args: &chromeArgs{Seq: &seq, Detail: fmt.Sprintf("outcome=%s %s value=%s", e.Outcome, e.Bound, e.Value)},
-		}
-		doc.TraceEvents = append(doc.TraceEvents, span)
+			PID: pid, TID: tid, TS: e.PendingUS, Dur: int64Ptr(end - e.PendingUS),
+			Args: &chromeArgs{Seq: intPtr(e.Seq), Detail: fmt.Sprintf("outcome=%s %s value=%s", e.Outcome, e.Bound, e.Value)},
+		})
 		if e.Fired && e.FiringUS >= 0 {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			out = append(out, chromeEvent{
 				Name: "firing", Cat: "slo-firing", Ph: "X",
-				PID: pid[e.Run], TID: tid[e.Run][e.Rule], TS: e.FiringUS,
-				Dur: int64Ptr(end - e.FiringUS),
+				PID: pid, TID: tid, TS: e.FiringUS, Dur: int64Ptr(end - e.FiringUS),
 			})
 		}
 	}
 	for _, ev := range events {
-		seq := ev.Seq
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		out = append(out, chromeEvent{
 			Name: ev.Ev, Cat: ev.Ev, Ph: "i", S: "t",
-			PID: pid[ev.Run], TID: tid[ev.Run][ev.Node], TS: ev.TUS,
-			Args: &chromeArgs{Seq: &seq, Detail: ev.Detail},
+			PID: lay.pid[ev.Run], TID: lay.tid[ev.Run][ev.Node], TS: ev.TUS,
+			Args: &chromeArgs{Seq: intPtr(ev.Seq), Detail: ev.Detail},
 		})
 	}
-	return doc
+	return out
 }

@@ -117,14 +117,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Int63n returns a uniform draw in [0, n). It panics if n <= 0.
-func (s *Stream) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(s.Uint64n(uint64(n)))
-}
-
 // ExpFloat64 returns an exponentially distributed draw with mean 1, by
 // inversion. The argument to Log is in (0, 1], so the result is finite.
 func (s *Stream) ExpFloat64() float64 {
@@ -149,23 +141,5 @@ func (s *Stream) NormFloat64() float64 {
 		s.gauss = v * f
 		s.hasGauss = true
 		return u * f
-	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements via swap (Fisher–Yates).
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
 	}
 }

@@ -131,18 +131,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(3)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 // TestEquidistribution runs a coarse chi-squared uniformity check over 64
 // buckets — a smoke test against gross mixing bugs, not a PRNG test suite.
 func TestEquidistribution(t *testing.T) {

@@ -1,14 +1,16 @@
 #!/bin/sh
-# check-pkgdoc.sh — fail if any package under internal/ or cmd/ lacks a
+# check-pkgdoc.sh — fail if any package under internal/ or cmd/, nested
+# ones (internal/obs/analyze, internal/sim/rng, ...) included, lacks a
 # package doc comment: "// Package <name> ..." for libraries, the godoc
 # "// Command <name> ..." convention for main packages under cmd/. Run from
-# the repo root; CI runs it on every push. POSIX sh, nothing beyond grep.
+# the repo root; CI runs it on every push. POSIX sh, nothing beyond find
+# and grep.
 set -eu
 
 fail=0
-for dir in internal/*/ cmd/*/; do
-    [ -d "$dir" ] || continue
-    # A directory with no Go files (or only testdata) is not a package.
+for dir in $(find internal cmd -type d -name testdata -prune -o -type d -print | sort); do
+    dir="$dir/"
+    # A directory with no Go files is not a package.
     ls "$dir"*.go >/dev/null 2>&1 || continue
     pkg=$(basename "$dir")
     case "$dir" in
