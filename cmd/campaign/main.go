@@ -75,8 +75,7 @@ func run() int {
 	n := flag.Int("n", 0, "corpus size override (0 = each experiment's paper size)")
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = NumCPU)")
 	timeout := flag.Duration("timeout", 15*time.Minute, "per-job wall-clock timeout (0 = none)")
-	cacheDir := flag.String("cache", campaign.DefaultCacheDir, "result cache directory")
-	noCache := flag.Bool("no-cache", false, "bypass the result cache entirely")
+	openCache := registerCache(flag.CommandLine)
 	outDir := flag.String("out", "", "also write each successful job's CSV to <dir>/<id>.csv")
 	summaryPath := flag.String("summary", "", "write the summary JSON to this file")
 	asJSON := flag.Bool("json", false, "print the summary as JSON instead of text")
@@ -98,13 +97,10 @@ func run() int {
 		return 2
 	}
 
-	var cache *campaign.Cache
-	if !*noCache {
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "campaign:", err)
+		return 1
 	}
 
 	sess, err := obsFlags.Setup()
@@ -143,7 +139,6 @@ func run() int {
 		Jobs:      jobs,
 		Workers:   *workers,
 		Timeout:   *timeout,
-		Retries:   1,
 		Cache:     cache,
 		Progress:  progress,
 		OnResult:  onResult,
@@ -181,4 +176,18 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// registerCache installs -cache and -no-cache on fs and returns the opener
+// of the cache they select (nil under -no-cache). Campaigns, sweeps and
+// workers share one content-addressed cache, so they share the flags too.
+func registerCache(fs *flag.FlagSet) func() (*campaign.Cache, error) {
+	dir := fs.String("cache", campaign.DefaultCacheDir, "result cache directory (shared by campaigns, sweeps and workers)")
+	off := fs.Bool("no-cache", false, "bypass the result cache entirely")
+	return func() (*campaign.Cache, error) {
+		if *off {
+			return nil, nil
+		}
+		return campaign.OpenCache(*dir)
+	}
 }

@@ -33,8 +33,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "job concurrency per in-process worker (0 = NumCPU)")
 	batch := fs.Int64("batch", 64, "max jobs per lease")
 	ttl := fs.Duration("ttl", 30*time.Second, "lease TTL; a worker silent this long forfeits its span")
-	cacheDir := fs.String("cache", campaign.DefaultCacheDir, "shared result cache directory")
-	noCache := fs.Bool("no-cache", false, "bypass the result cache entirely")
+	openCache := registerCache(fs)
 	summaryPath := fs.String("summary", "", "write the summary JSON to this file")
 	asJSON := fs.Bool("json", false, "print the output as JSON instead of text")
 	report := fs.Bool("report", false, "print the paper-artifact report (Tables 1-3 + CDFs) instead of the summary table")
@@ -63,13 +62,10 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var cache *campaign.Cache
-	if !*noCache {
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache()
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
 	}
 
 	sess, err := obsFlags.Setup()
@@ -268,8 +264,7 @@ func runWorkerCmd(args []string, stdout, stderr io.Writer) int {
 	name := fs.String("name", "", "worker name in the fleet view (default host:pid)")
 	parallel := fs.Int("parallel", 0, "job concurrency (0 = NumCPU)")
 	batch := fs.Int64("batch", 0, "max jobs per lease (0 = coordinator's cap)")
-	cacheDir := fs.String("cache", campaign.DefaultCacheDir, "shared result cache directory")
-	noCache := fs.Bool("no-cache", false, "bypass the result cache entirely")
+	openCache := registerCache(fs)
 	quiet := fs.Bool("quiet", false, "suppress per-lease progress lines")
 	obsFlags := obsflag.Register(fs)
 	fs.Usage = func() {
@@ -290,14 +285,10 @@ func runWorkerCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	var cache *campaign.Cache
-	if !*noCache {
-		var err error
-		cache, err = campaign.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "campaign:", err)
-			return 1
-		}
+	cache, err := openCache()
+	if err != nil {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
 	}
 	sess, err := obsFlags.Setup()
 	if err != nil {

@@ -5,19 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
-
-	"repro/internal/exp"
 )
 
 // DefaultCacheDir is where cmd/campaign persists results unless told
 // otherwise.
 const DefaultCacheDir = ".campaign-cache"
 
-// Cache is a disk-backed result store keyed by Job.Key. One JSON file per
+// Cache is a disk-backed result store keyed by job key. One JSON file per
 // job; writes go through a temp file + rename so a campaign killed
 // mid-write never leaves a truncated entry, which is what makes an
-// interrupted campaign resumable.
+// interrupted campaign resumable. Campaign results and sweep metric
+// records share the directory and key space; each caller owns its record
+// type and passes it through LoadJSON/StoreJSON.
 type Cache struct {
 	dir string
 }
@@ -41,63 +42,40 @@ func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Load returns the cached result for key, or ok=false on a miss. An
-// unreadable or undecodable entry counts as a miss and is removed, so a
-// corrupted file costs one re-execution rather than a wedged campaign.
-func (c *Cache) Load(key string) (*exp.Result, bool) {
-	data, err := os.ReadFile(c.Path(key))
-	if err != nil {
-		return nil, false
+// LoadJSON decodes the entry under key into v and reports whether it was a
+// usable hit: the entry exists, decodes, and valid (called after the
+// decode) accepts it. An entry that fails to decode or validate is
+// removed, so a corrupted or stale-schema file costs one re-execution
+// rather than a wedged fleet. A nil cache always misses.
+func (c *Cache) LoadJSON(key string, v any, valid func() bool) bool {
+	if c == nil {
+		return false
 	}
-	var res exp.Result
-	if err := json.Unmarshal(data, &res); err != nil || res.ID == "" {
+	data, ok := c.LoadRaw(key)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(data, v); err != nil || !valid() {
 		os.Remove(c.Path(key))
-		return nil, false
+		return false
 	}
-	return &res, true
+	return true
 }
 
-// Store persists a result under key atomically.
-func (c *Cache) Store(key string, res *exp.Result) error {
-	data, err := json.MarshalIndent(res, "", " ")
+// StoreJSON persists v's JSON encoding under key atomically. A nil cache
+// stores nothing.
+func (c *Cache) StoreJSON(key string, v any) error {
+	if c == nil {
+		return nil
+	}
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.Path(key))
-}
-
-// Len reports how many entries the cache currently holds.
-func (c *Cache) Len() int {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n
+	return c.StoreRaw(key, data)
 }
 
 // LoadRaw returns the raw bytes cached under key, or ok=false on a miss.
-// Raw entries share the directory and key space with Result entries; the
-// caller owns the encoding (the sweep engine stores per-job metric records
-// this way, so sweep workers share one content-addressed cache).
 func (c *Cache) LoadRaw(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.Path(key))
 	if err != nil || len(data) == 0 {
@@ -106,10 +84,10 @@ func (c *Cache) LoadRaw(key string) ([]byte, bool) {
 	return data, true
 }
 
-// StoreRaw persists raw bytes under key atomically (temp file + rename,
-// like Store).
+// StoreRaw persists raw bytes under key atomically: they are written to
+// <key>.tmp-<n> and renamed into place.
 func (c *Cache) StoreRaw(key string, data []byte) error {
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
+	tmp, err := os.CreateTemp(c.dir, key+tempInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -125,8 +103,39 @@ func (c *Cache) StoreRaw(key string, data []byte) error {
 	return os.Rename(tmp.Name(), c.Path(key))
 }
 
-// RemoveRaw deletes the entry stored under key (missing entries are fine).
-func (c *Cache) RemoveRaw(key string) { os.Remove(c.Path(key)) }
+// tempInfix marks StoreRaw's temp files. One left behind belongs to a
+// process killed between write and rename; GC's age rule reaps it.
+const tempInfix = ".tmp-"
+
+// cacheFile is one file of a cache directory scan.
+type cacheFile struct {
+	name string
+	size int64
+	mod  time.Time
+	temp bool // an orphaned or in-flight StoreRaw temp file, not an entry
+}
+
+// scan lists the cache's entries and temp files, oldest first.
+func (c *Cache) scan() ([]cacheFile, error) {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []cacheFile
+	for _, e := range ents {
+		temp := strings.Contains(e.Name(), tempInfix)
+		if !temp && filepath.Ext(e.Name()) != ".json" {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		files = append(files, cacheFile{e.Name(), info.Size(), info.ModTime(), temp})
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
+	return files, nil
+}
 
 // CacheStat summarizes a cache directory for `campaign cache stat`.
 type CacheStat struct {
@@ -139,31 +148,26 @@ type CacheStat struct {
 	NewestAgeMS int64 `json:"newest_age_ms"`
 }
 
-// Stat scans the cache and reports entry count, total bytes, and age range.
+// Stat scans the cache and reports entry count, total bytes, and age
+// range. Temp files are not entries and are not counted.
 func (c *Cache) Stat() (CacheStat, error) {
 	st := CacheStat{Dir: c.dir}
-	ents, err := os.ReadDir(c.dir)
+	files, err := c.scan()
 	if err != nil {
 		return st, err
 	}
 	now := time.Now()
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".json" {
+	for _, f := range files {
+		if f.temp {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		st.Entries++
-		st.Bytes += info.Size()
-		age := now.Sub(info.ModTime()).Milliseconds()
-		if age > st.OldestAgeMS {
+		age := now.Sub(f.mod).Milliseconds()
+		if st.Entries == 0 {
 			st.OldestAgeMS = age
 		}
-		if st.Entries == 1 || age < st.NewestAgeMS {
-			st.NewestAgeMS = age
-		}
+		st.Entries++
+		st.Bytes += f.size
+		st.NewestAgeMS = age
 	}
 	return st, nil
 }
@@ -176,50 +180,42 @@ type GCResult struct {
 	KeptBytes    int64 `json:"kept_bytes"`
 }
 
-// GC prunes the cache: every entry older than maxAge goes (maxAge <= 0
-// disables the age rule), then oldest-first until the remainder fits in
-// maxBytes (maxBytes <= 0 disables the size rule). Unbounded cache growth
-// is what kills overnight sweeps, so this is wired into `campaign cache
-// gc`. Removal errors are ignored per entry — a locked file costs one
-// retry on the next pass, not the whole sweep.
+// GC prunes the cache: every file older than maxAge goes (maxAge <= 0
+// disables the age rule), then entries oldest-first until the remainder
+// fits in maxBytes (maxBytes <= 0 disables the size rule). The age rule
+// also reaps temp files orphaned by a writer killed before its rename (a
+// live write is milliseconds old); they count as removed but never as
+// kept or toward the size budget. Unbounded cache growth is what kills
+// overnight sweeps, so this is wired into `campaign cache gc`. Removal
+// errors are ignored per file — a locked file costs one retry on the next
+// pass, not the whole sweep.
 func (c *Cache) GC(maxAge time.Duration, maxBytes int64) (GCResult, error) {
 	var res GCResult
-	ents, err := os.ReadDir(c.dir)
+	files, err := c.scan()
 	if err != nil {
 		return res, err
 	}
-	type entry struct {
-		name string
-		size int64
-		mod  time.Time
-	}
-	var all []entry
 	var total int64
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".json" {
-			continue
+	for _, f := range files {
+		if !f.temp {
+			total += f.size
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		all = append(all, entry{e.Name(), info.Size(), info.ModTime()})
-		total += info.Size()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
 	cutoff := time.Now().Add(-maxAge)
-	for _, e := range all {
-		evict := (maxAge > 0 && e.mod.Before(cutoff)) || (maxBytes > 0 && total > maxBytes)
-		if evict {
-			if err := os.Remove(filepath.Join(c.dir, e.name)); err == nil {
-				res.Removed++
-				res.RemovedBytes += e.size
-				total -= e.size
-				continue
+	for _, f := range files {
+		evict := (maxAge > 0 && f.mod.Before(cutoff)) || (!f.temp && maxBytes > 0 && total > maxBytes)
+		if evict && os.Remove(filepath.Join(c.dir, f.name)) == nil {
+			res.Removed++
+			res.RemovedBytes += f.size
+			if !f.temp {
+				total -= f.size
 			}
+			continue
 		}
-		res.Kept++
-		res.KeptBytes += e.size
+		if !f.temp {
+			res.Kept++
+			res.KeptBytes += f.size
+		}
 	}
 	return res, nil
 }

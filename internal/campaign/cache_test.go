@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/exp"
 )
 
 func TestCacheRoundTrip(t *testing.T) {
@@ -12,11 +15,11 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := okResult("fig9")
-	if err := c.Store("k1", want); err != nil {
+	if err := c.StoreJSON("k1", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Load("k1")
-	if !ok {
+	got := new(exp.Result)
+	if !c.LoadJSON("k1", got, func() bool { return got.ID != "" }) {
 		t.Fatal("stored entry missed")
 	}
 	if got.ID != want.ID || got.Title != want.Title ||
@@ -24,8 +27,8 @@ func TestCacheRoundTrip(t *testing.T) {
 		len(got.Plots) != 1 || len(got.Notes) != 1 {
 		t.Fatalf("round-trip mangled result: %+v", got)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if st, err := c.Stat(); err != nil || st.Entries != 1 {
+		t.Fatalf("Stat = %+v, %v; want 1 entry", st, err)
 	}
 }
 
@@ -34,18 +37,35 @@ func TestCacheMissAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Load("absent"); ok {
+	var res exp.Result
+	valid := func() bool { return res.ID != "" }
+	if c.LoadJSON("absent", &res, valid) {
 		t.Fatal("miss reported as hit")
 	}
 	// A truncated/corrupt entry must read as a miss and be swept away.
 	if err := os.WriteFile(c.Path("bad"), []byte("{\"ID\":"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Load("bad"); ok {
+	if c.LoadJSON("bad", &res, valid) {
 		t.Fatal("corrupt entry reported as hit")
 	}
 	if _, err := os.Stat(c.Path("bad")); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry not removed")
+	}
+	// So must an entry that decodes but fails validation.
+	if err := c.StoreJSON("invalid", &exp.Result{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.LoadJSON("invalid", &res, valid) {
+		t.Fatal("invalid entry reported as hit")
+	}
+	if _, err := os.Stat(c.Path("invalid")); !os.IsNotExist(err) {
+		t.Fatal("invalid entry not removed")
+	}
+	// A nil cache always misses and stores nothing.
+	var none *Cache
+	if none.LoadJSON("k", &res, valid) || none.StoreJSON("k", okResult("x")) != nil {
+		t.Fatal("nil cache is not inert")
 	}
 }
 
@@ -64,11 +84,6 @@ func TestCacheRawRoundTrip(t *testing.T) {
 	if !ok || string(data) != `{"v":1}` {
 		t.Fatalf("raw round-trip: ok=%v data=%q", ok, data)
 	}
-	c.RemoveRaw("r1")
-	if _, ok := c.LoadRaw("r1"); ok {
-		t.Fatal("removed entry still loads")
-	}
-	c.RemoveRaw("r1") // removing a missing entry is fine
 }
 
 func TestCacheStat(t *testing.T) {
@@ -172,5 +187,42 @@ func TestCacheGCBySize(t *testing.T) {
 	}
 	if res.Removed != 0 || res.Kept != 2 {
 		t.Fatalf("idempotent gc: %+v", res)
+	}
+}
+
+// TestCacheGCReapsOrphanedTemp: a writer killed between StoreRaw's write
+// and rename leaves <key>.tmp-<n> behind. The age rule removes a stale one
+// and keeps a fresh one (it may be a live write); neither is an entry.
+func TestCacheGCReapsOrphanedTemp(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(c.Dir(), "k1.tmp-111")
+	fresh := filepath.Join(c.Dir(), "k2.tmp-222")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, make([]byte, 10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	past := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(stale, past, past); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Stat(); err != nil || st.Entries != 0 {
+		t.Fatalf("temp files counted as entries: %+v, %v", st, err)
+	}
+	res, err := c.GC(time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Removed != 1 || res.RemovedBytes != 10 || res.Kept != 0 {
+		t.Fatalf("gc: %+v, want the stale temp file removed", res)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("stale temp file survived gc")
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
 	}
 }

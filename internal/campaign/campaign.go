@@ -2,14 +2,20 @@
 // internal/exp is a registered job addressed by a content key over
 // (job id, seed, corpus size, config hash); the scheduler runs jobs over a
 // sharded bounded worker pool with per-job panic isolation, a wall-clock
-// timeout, and one retry on failure, and persists each job's exp.Result to
-// a disk cache so re-runs are instant and an interrupted campaign resumes
-// from where it stopped.
+// timeout, and one retry after a panic or nil result, and persists each
+// job's exp.Result to a disk cache so re-runs are instant and an
+// interrupted campaign resumes from where it stopped.
+//
+// The per-job core is shared with the sweep engine (internal/sweep), which
+// schedules differently but runs each job the same way: the Cache with its
+// LoadJSON/StoreJSON codec, the panic Guard, and the StatusSnapshot timing
+// rule (SetTiming) behind every jobs/s, ETA and percentile figure.
 package campaign
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -116,7 +122,6 @@ type Options struct {
 	Jobs    []Job
 	Workers int           // concurrent jobs; <= 0 means runtime.NumCPU()
 	Timeout time.Duration // per-job wall clock; <= 0 disables the timeout
-	Retries int           // extra attempts after a failure (default policy: 1)
 	Cache   *Cache        // nil disables caching
 	// Progress, when non-nil, receives one telemetry line per finished job
 	// (status, elapsed, jobs/sec, ETA).
@@ -127,8 +132,8 @@ type Options struct {
 	OnResult func(Job, *exp.Result)
 	// Status, when non-nil, tracks the fleet live for the /campaign/status
 	// introspection endpoint (see internal/obs/expose): per-job start/finish
-	// transitions, retries, and derived throughput/ETA. Nil disables
-	// tracking at the cost of one nil check per job.
+	// transitions, retries, and derived throughput/ETA. Run keeps a private
+	// tracker when it is nil; the summary totals come from the tracker.
 	Status *Status
 	// Obs, when non-nil, receives scheduler-level metrics (see
 	// docs/OBSERVABILITY.md): campaign.jobs_executed / jobs_cached /
@@ -146,22 +151,82 @@ type Options struct {
 	FlightDir string
 }
 
+// retries is how many extra attempts a job gets after an attempt that
+// returned a failure (a panic or a nil result). A timed-out attempt is not
+// retried: its body is still running, so a retry would run two copies at
+// once, and a seeded job cannot finish sooner the second time.
+const retries = 1
+
+// errTimeout marks an attempt abandoned at Options.Timeout.
+var errTimeout = errors.New("timeout")
+
+// Guard turns a panicking job body into an error, for campaign and sweep
+// jobs alike, so one pathological job fails alone instead of taking down
+// its worker. With Flight and Dir set, a panic also dumps the flight ring
+// and the dump path rides in the error, so the postmortem is one click
+// away.
+type Guard struct {
+	Flight *flight.Recorder
+	Dir    string // where dumps land ("" disables dumping)
+}
+
+// guardStackLimit caps the stack a recovered panic carries into its error:
+// enough for the crash site and its callers, without ballooning the
+// summaries, progress lines and lease reports the error ends up in.
+const guardStackLimit = 4 << 10
+
+// Run calls fn and returns nil, or, if fn panics, an error reading
+// "panic: <value>[\nflight dump: <path>]\n<stack>". tag names the dump; it
+// is called only when fn panics, so the happy path formats nothing.
+func (g Guard) Run(tag func() string, fn func()) (err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		stack := debug.Stack()
+		if len(stack) > guardStackLimit {
+			stack = stack[:guardStackLimit]
+		}
+		dump := ""
+		if path := g.Dump(tag()); path != "" {
+			dump = "\nflight dump: " + path
+		}
+		err = fmt.Errorf("panic: %v%s\n%s", p, dump, stack)
+	}()
+	fn()
+	return nil
+}
+
+// Dump writes the flight ring to Dir as flight-<tag>.jsonl and returns the
+// path, or "" when dumping is disabled or fails: the dump is a best-effort
+// postmortem, not worth failing a job or lease bookkeeping over.
+func (g Guard) Dump(tag string) string {
+	if g.Flight == nil || g.Dir == "" {
+		return ""
+	}
+	path, err := g.Flight.Dump(g.Dir, tag)
+	if err != nil {
+		return ""
+	}
+	return path
+}
+
 // flightLog adapts the campaign scheduler to the flight recorder: each
 // finished job becomes a "complete" event and each timeout an "expire"
 // (reason=timeout), tagged src=campaign so fleet tooling shows them as
 // timeline annotations, never lease-lint input. A nil *flightLog no-ops.
 type flightLog struct {
 	rec   *flight.Recorder
-	dir   string
 	epoch time.Time
 	seq   atomic.Int64 // completion counter; events need Seq >= 0
 }
 
-func newFlightLog(rec *flight.Recorder, dir string) *flightLog {
+func newFlightLog(rec *flight.Recorder) *flightLog {
 	if rec == nil {
 		return nil
 	}
-	return &flightLog{rec: rec, dir: dir, epoch: time.Now()}
+	return &flightLog{rec: rec, epoch: time.Now()}
 }
 
 func (fl *flightLog) record(ev, jobID, detail string) {
@@ -185,19 +250,6 @@ func (fl *flightLog) expire(jobID, reason string) {
 	fl.record(obs.EvLeaseExpire, jobID, "reason="+reason)
 }
 
-// dump writes the ring as JSONL, returning the path ("" when dumping is
-// disabled or fails — the dump is a best-effort postmortem).
-func (fl *flightLog) dump(tag string) string {
-	if fl == nil || fl.dir == "" {
-		return ""
-	}
-	path, err := fl.rec.Dump(fl.dir, tag)
-	if err != nil {
-		return ""
-	}
-	return path
-}
-
 // instruments caches the scheduler's obs handles (all nil-safe no-ops when
 // Options.Obs is nil).
 type instruments struct {
@@ -219,86 +271,66 @@ func newInstruments(r *obs.Registry) instruments {
 }
 
 // Run executes the campaign and returns its summary. It never aborts on a
-// job failure: panics are recovered, timeouts are enforced, each failed
-// job is retried per Options.Retries, and whatever still fails is reported
-// in the summary while the rest of the fleet completes.
+// job failure: panics are recovered, timeouts are enforced, a job that
+// panicked or returned nil is retried once, and whatever still fails is
+// reported in the summary while the rest of the fleet completes.
 func Run(opts Options) *Summary {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	start := time.Now()
-	total := len(opts.Jobs)
-	var mu sync.Mutex
-	done := 0
-
+	if opts.Status == nil {
+		opts.Status = NewStatus()
+	}
+	st := opts.Status
 	ins := newInstruments(opts.Obs)
-	fl := newFlightLog(opts.Flight, opts.FlightDir)
-	opts.Status.begin(total, workers)
-	defer opts.Status.finish()
+	fl := newFlightLog(opts.Flight)
+	st.begin(len(opts.Jobs), workers)
+	var mu sync.Mutex
 	records := par.MapN(opts.Jobs, workers, func(j Job) JobRecord {
 		rec, res := runOne(j, opts, ins, fl)
-		opts.Status.jobFinished(rec)
 		mu.Lock()
-		done++
+		defer mu.Unlock()
+		st.jobFinished(rec)
 		if opts.Progress != nil {
-			elapsed := time.Since(start)
-			// Guard the first-job case: a sub-resolution elapsed would make
-			// rate Inf and the ETA NaN (which Duration renders as garbage).
-			rate := 0.0
-			if secs := elapsed.Seconds(); secs > 0 {
-				rate = float64(done) / secs
-			}
-			eta := time.Duration(0)
-			if rate > 0 {
-				eta = time.Duration(float64(total-done) / rate * float64(time.Second)).Round(time.Second)
-			}
+			p := st.Snapshot()
 			fmt.Fprintf(opts.Progress, "[%*d/%d] %-24s %-7s %8s  %5.2f jobs/s  eta %s\n",
-				len(fmt.Sprint(total)), done, total, j.ID, rec.Status,
-				time.Duration(rec.ElapsedMS*int64(time.Millisecond)).Round(time.Millisecond),
-				rate, eta)
+				len(fmt.Sprint(p.Total)), p.Done, p.Total, j.ID, rec.Status,
+				(time.Duration(rec.ElapsedMS) * time.Millisecond).Round(time.Millisecond),
+				p.JobsPerSec, fmtETA(p.ETAMS))
 		}
 		if res != nil && opts.OnResult != nil {
 			opts.OnResult(j, res)
 		}
-		mu.Unlock()
 		return rec
 	})
+	st.finish()
 
+	p := st.Snapshot()
 	s := &Summary{
-		Schema:  schemaVersion,
-		Workers: workers,
-		Jobs:    records,
+		Schema:        schemaVersion,
+		Workers:       workers,
+		Executed:      p.Executed,
+		Cached:        p.Cached,
+		Failed:        p.Failed,
+		Jobs:          records,
+		ElapsedMS:     p.ElapsedMS,
+		JobsPerSec:    p.JobsPerSec,
+		ElapsedP50MS:  p.ElapsedP50MS,
+		ElapsedP95MS:  p.ElapsedP95MS,
+		ElapsedP99MS:  p.ElapsedP99MS,
+		ElapsedP999MS: p.ElapsedP999MS,
 	}
-	for _, r := range records {
-		switch r.Status {
-		case StatusCached:
-			s.Cached++
-		case StatusOK:
-			s.Executed++
-		default:
-			s.Failed++
-		}
-		s.SeriesPoints += r.SeriesPoints
-	}
-	s.ElapsedMS = time.Since(start).Milliseconds()
-	if secs := time.Since(start).Seconds(); secs > 0 {
-		s.JobsPerSec = float64(total) / secs
-	}
-	s.fillElapsedPercentiles()
-	sortFailuresFirst(s)
-	return s
-}
-
-// sortFailuresFirst orders the summary's failure digest; job records
-// themselves stay in input order for determinism.
-func sortFailuresFirst(s *Summary) {
-	for _, r := range s.Jobs {
-		if r.Status == StatusFailed {
-			s.Failures = append(s.Failures, fmt.Sprintf("%s: %s", r.ID, r.Error))
+	// The failure digest is sorted; job records stay in input order for
+	// determinism.
+	for _, rec := range records {
+		s.SeriesPoints += rec.SeriesPoints
+		if rec.Status == StatusFailed {
+			s.Failures = append(s.Failures, fmt.Sprintf("%s: %s", rec.ID, rec.Error))
 		}
 	}
 	sort.Strings(s.Failures)
+	return s
 }
 
 // runOne resolves one job through the cache or executes it (with retries),
@@ -307,15 +339,13 @@ func runOne(j Job, opts Options, ins instruments, fl *flightLog) (JobRecord, *ex
 	rec := JobRecord{ID: j.ID, Key: j.Key(), Seed: j.Seed, N: j.effN}
 	jobStart := time.Now()
 	opts.Status.jobStarted(j, rec.Key)
-	if opts.Cache != nil {
-		if res, ok := opts.Cache.Load(rec.Key); ok {
-			rec.Status = StatusCached
-			rec.ElapsedMS = time.Since(jobStart).Milliseconds()
-			ins.cached.Inc()
-			return rec, res
-		}
+	res := new(exp.Result)
+	if opts.Cache.LoadJSON(rec.Key, res, func() bool { return res.ID != "" }) {
+		rec.Status = StatusCached
+		rec.ElapsedMS = time.Since(jobStart).Milliseconds()
+		ins.cached.Inc()
+		return rec, res
 	}
-	var res *exp.Result
 	var err error
 	// Series windows are attributed to jobs by interval: the collector is
 	// shared across the fleet, so under concurrency this is telemetry (like
@@ -323,8 +353,8 @@ func runOne(j Job, opts Options, ins instruments, fl *flightLog) (JobRecord, *ex
 	series := opts.Obs.Series()
 	pointsBefore := series.Points()
 	for rec.Attempts = 1; ; rec.Attempts++ {
-		res, err = execute(j, opts.Timeout, fl)
-		if err == nil || rec.Attempts > opts.Retries {
+		res, err = execute(j, opts, fl)
+		if err == nil || rec.Attempts > retries || errors.Is(err, errTimeout) {
 			break
 		}
 		ins.retries.Inc()
@@ -343,57 +373,40 @@ func runOne(j Job, opts Options, ins instruments, fl *flightLog) (JobRecord, *ex
 	rec.Status = StatusOK
 	ins.executed.Inc()
 	fl.complete(j.ID, StatusOK, rec.ElapsedMS)
-	if opts.Cache != nil {
-		if serr := opts.Cache.Store(rec.Key, res); serr != nil {
-			// A cache write failure degrades re-run speed, not correctness.
-			rec.Error = "cache store: " + serr.Error()
-		}
+	if serr := opts.Cache.StoreJSON(rec.Key, res); serr != nil {
+		// A cache write failure degrades re-run speed, not correctness.
+		rec.Error = "cache store: " + serr.Error()
 	}
 	return rec, res
 }
 
-// executePanicStackLimit caps the stack a recovered job panic carries into
-// its error message (it ends up in summaries and progress lines).
-const executePanicStackLimit = 4 << 10
-
-// execute runs the job body on its own goroutine with panic recovery and
-// an optional wall-clock timeout. On timeout the goroutine is abandoned —
-// the simulator has no cancellation points — so a timed-out job keeps a
+// execute runs the job body on its own goroutine under the Guard, with an
+// optional wall-clock timeout. On timeout the goroutine is abandoned — the
+// simulator has no cancellation points — so a timed-out job keeps a
 // worker's worth of CPU busy until it finishes; the scheduler slot itself
 // is released immediately. Panics and timeouts dump the flight ring, and
-// the dump path rides in the error so the postmortem is one click away.
-func execute(j Job, timeout time.Duration, fl *flightLog) (res *exp.Result, err error) {
+// the dump path rides in the error.
+func execute(j Job, opts Options, fl *flightLog) (*exp.Result, error) {
 	type outcome struct {
 		res *exp.Result
 		err error
 	}
+	guard := Guard{Flight: opts.Flight, Dir: opts.FlightDir}
 	ch := make(chan outcome, 1)
 	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				stack := debug.Stack()
-				if len(stack) > executePanicStackLimit {
-					stack = stack[:executePanicStackLimit]
-				}
-				dump := ""
-				if path := fl.dump("panic-" + j.ID); path != "" {
-					dump = "\nflight dump: " + path
-				}
-				ch <- outcome{err: fmt.Errorf("panic: %v%s\n%s", p, dump, stack)}
-			}
-		}()
-		r := j.run(j.N, j.Seed)
-		if r == nil {
-			ch <- outcome{err: fmt.Errorf("experiment returned nil result")}
-			return
+		var o outcome
+		o.err = guard.Run(func() string { return "panic-" + j.ID },
+			func() { o.res = j.run(j.N, j.Seed) })
+		if o.err == nil && o.res == nil {
+			o.err = errors.New("experiment returned nil result")
 		}
-		ch <- outcome{res: r}
+		ch <- o
 	}()
-	if timeout <= 0 {
+	if opts.Timeout <= 0 {
 		o := <-ch
 		return o.res, o.err
 	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(opts.Timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
@@ -401,9 +414,9 @@ func execute(j Job, timeout time.Duration, fl *flightLog) (res *exp.Result, err 
 	case <-timer.C:
 		fl.expire(j.ID, "timeout")
 		dump := ""
-		if path := fl.dump("timeout-" + j.ID); path != "" {
+		if path := guard.Dump("timeout-" + j.ID); path != "" {
 			dump = " (flight dump: " + path + ")"
 		}
-		return nil, fmt.Errorf("timeout after %s%s", timeout, dump)
+		return nil, fmt.Errorf("%w after %s%s", errTimeout, opts.Timeout, dump)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/stats"
 )
 
@@ -41,7 +43,7 @@ func TestRunExecutesAndCaches(t *testing.T) {
 			return okResult(id)
 		})
 	}
-	opts := Options{Jobs: jobs, Workers: 3, Cache: cache, Retries: 1}
+	opts := Options{Jobs: jobs, Workers: 3, Cache: cache}
 
 	s1 := Run(opts)
 	if s1.Executed != 5 || s1.Cached != 0 || s1.Failed != 0 {
@@ -78,7 +80,7 @@ func TestRunResumesAfterPartialCampaign(t *testing.T) {
 		})
 	}
 	for _, j := range jobs[:4] {
-		if err := cache.Store(j.Key(), okResult(j.ID)); err != nil {
+		if err := cache.StoreJSON(j.Key(), okResult(j.ID)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +99,8 @@ func TestPanicIsolatedRetriedAndReported(t *testing.T) {
 		}),
 		fakeJob("fine", 1, func(int, int64) *exp.Result { return okResult("fine") }),
 	}
-	s := Run(Options{Jobs: jobs, Workers: 2, Retries: 1})
+	dir := t.TempDir()
+	s := Run(Options{Jobs: jobs, Workers: 2, Flight: flight.New(8), FlightDir: dir})
 	if s.Failed != 1 || s.Executed != 1 {
 		t.Fatalf("summary %+v, want 1 failed + 1 ok", s)
 	}
@@ -105,8 +108,13 @@ func TestPanicIsolatedRetriedAndReported(t *testing.T) {
 		t.Fatalf("panicking job attempted %d times, want 2 (retry once)", attempts.Load())
 	}
 	rec := s.Jobs[0]
-	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "panic") || rec.Attempts != 2 {
+	if rec.Status != StatusFailed || rec.Attempts != 2 {
 		t.Fatalf("record %+v", rec)
+	}
+	// The error is the last attempt's panic, with that attempt's dump.
+	want := "panic: synthetic failure\nflight dump: " + filepath.Join(dir, "flight-panic-boom-2.jsonl") + "\n"
+	if !strings.HasPrefix(rec.Error, want) {
+		t.Fatalf("panic error %q, want prefix %q", rec.Error, want)
 	}
 	if len(s.Failures) != 1 || !strings.Contains(s.Failures[0], "boom") {
 		t.Fatalf("failure digest %v", s.Failures)
@@ -132,6 +140,33 @@ func TestTimeoutFailsJobWithoutAbortingFleet(t *testing.T) {
 	}
 }
 
+// TestTimedOutJobNotRetried: a timed-out attempt is abandoned while its
+// body keeps running, so a retry would run two copies of the job at once
+// (and a seeded job cannot finish sooner the second time). It gets
+// exactly one attempt.
+func TestTimedOutJobNotRetried(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	var live atomic.Int32
+	var overlapped atomic.Bool
+	j := fakeJob("stuck", 1, func(int, int64) *exp.Result {
+		if live.Add(1) > 1 {
+			overlapped.Store(true)
+		}
+		defer live.Add(-1)
+		<-block
+		return okResult("stuck")
+	})
+	s := Run(Options{Jobs: []Job{j}, Workers: 1, Timeout: 20 * time.Millisecond})
+	rec := s.Jobs[0]
+	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "timeout") || rec.Attempts != 1 {
+		t.Fatalf("timed-out record %+v, want one failed attempt", rec)
+	}
+	if overlapped.Load() {
+		t.Fatal("two copies of the job body ran at once")
+	}
+}
+
 func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 	var attempts atomic.Int32
 	j := fakeJob("flaky", 1, func(int, int64) *exp.Result {
@@ -140,7 +175,7 @@ func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 		}
 		return okResult("flaky")
 	})
-	s := Run(Options{Jobs: []Job{j}, Retries: 1})
+	s := Run(Options{Jobs: []Job{j}})
 	if s.Executed != 1 || s.Failed != 0 || s.Jobs[0].Attempts != 2 {
 		t.Fatalf("summary %+v", s)
 	}
@@ -155,6 +190,9 @@ func stripTiming(t *testing.T, data []byte) []byte {
 	}
 	s.ElapsedMS = 0
 	s.JobsPerSec = 0
+	// The per-job elapsed percentiles are timing too: a job that takes a
+	// millisecond or two under the race detector moves them.
+	s.ElapsedP50MS, s.ElapsedP95MS, s.ElapsedP99MS, s.ElapsedP999MS = 0, 0, 0, 0
 	for i := range s.Jobs {
 		s.Jobs[i].ElapsedMS = 0
 	}
@@ -302,7 +340,7 @@ func TestRunObsInstrumentation(t *testing.T) {
 		fakeJob("boom", 1, func(int, int64) *exp.Result { panic("boom") }),
 	}
 	reg := obs.NewRegistry()
-	s := Run(Options{Jobs: jobs, Workers: 2, Cache: cache, Retries: 1, Obs: reg})
+	s := Run(Options{Jobs: jobs, Workers: 2, Cache: cache, Obs: reg})
 	if s.Executed != 2 || s.Failed != 1 {
 		t.Fatalf("summary: %+v", s)
 	}
@@ -330,7 +368,7 @@ func TestRunObsInstrumentation(t *testing.T) {
 	// A cached re-run counts cache hits and leaves the execute counters
 	// for the successful jobs alone.
 	reg2 := obs.NewRegistry()
-	s2 := Run(Options{Jobs: jobs[:2], Workers: 2, Cache: cache, Retries: 1, Obs: reg2})
+	s2 := Run(Options{Jobs: jobs[:2], Workers: 2, Cache: cache, Obs: reg2})
 	if s2.Cached != 2 {
 		t.Fatalf("second run: %+v", s2)
 	}

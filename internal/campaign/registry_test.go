@@ -85,7 +85,8 @@ func TestRegistryDefaultsResolve(t *testing.T) {
 	if s.Executed != 1 || s.Failed != 0 {
 		t.Fatalf("summary %+v", s)
 	}
-	if res, ok := cache.Load(jobs[0].Key()); !ok || res.ID != "fig7" {
+	var res exp.Result
+	if ok := cache.LoadJSON(jobs[0].Key(), &res, func() bool { return res.ID != "" }); !ok || res.ID != "fig7" {
 		t.Fatalf("fig7 result not cached: %v %v", res, ok)
 	}
 }

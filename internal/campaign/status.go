@@ -227,9 +227,11 @@ func (st *Status) Snapshot() *StatusSnapshot {
 	snap.Cached = st.cached
 	snap.Failed = st.failed
 	snap.Retries = st.retries
+	var elapsed time.Duration
 	if !st.start.IsZero() {
-		snap.ElapsedMS = now.Sub(st.start).Milliseconds()
+		elapsed = now.Sub(st.start)
 	}
+	snap.SetTiming(elapsed, st.elapsed)
 	for _, a := range st.active {
 		// jobStarted stores the negated start time; convert to elapsed.
 		a.ElapsedMS = now.UnixMilli() + a.ElapsedMS
@@ -245,23 +247,31 @@ func (st *Status) Snapshot() *StatusSnapshot {
 		return snap.Active[i].ID < snap.Active[j].ID
 	})
 	snap.Recent = append(snap.Recent, st.recent...)
-	if secs := float64(snap.ElapsedMS) / 1000; secs > 0 && st.done > 0 {
-		snap.JobsPerSec = float64(st.done) / secs
-		// Remaining is never negative even if done overshoots total (a
-		// driver bug would otherwise surface here as a negative ETA).
-		if remaining := st.total - st.done; remaining > 0 && snap.JobsPerSec > 0 {
+	return snap
+}
+
+// SetTiming derives a run's timing figures from its wall clock so far and
+// the snapshot's Done/Total: ElapsedMS, JobsPerSec, ETAMS (-1 until a job
+// finishes; never negative, even if Done overshoots Total), and the
+// per-job elapsed percentiles from jobs (zero while it is nil or empty).
+// Status, the campaign progress line and summary, and the sweep
+// coordinator all take their throughput, ETA and percentiles from here.
+func (snap *StatusSnapshot) SetTiming(elapsed time.Duration, jobs *sketch.Digest) {
+	snap.ElapsedMS = elapsed.Milliseconds()
+	snap.ETAMS = -1
+	if secs := elapsed.Seconds(); secs > 0 && snap.Done > 0 {
+		snap.JobsPerSec = float64(snap.Done) / secs
+		snap.ETAMS = 0
+		if remaining := snap.Total - snap.Done; remaining > 0 {
 			snap.ETAMS = int64(float64(remaining) / snap.JobsPerSec * 1000)
-		} else {
-			snap.ETAMS = 0
 		}
 	}
-	if st.elapsed != nil && st.elapsed.Count() > 0 {
-		snap.ElapsedP50MS = int64(st.elapsed.Quantile(0.50))
-		snap.ElapsedP95MS = int64(st.elapsed.Quantile(0.95))
-		snap.ElapsedP99MS = int64(st.elapsed.Quantile(0.99))
-		snap.ElapsedP999MS = int64(st.elapsed.Quantile(0.999))
+	if jobs != nil && jobs.Count() > 0 {
+		snap.ElapsedP50MS = int64(jobs.Quantile(0.50))
+		snap.ElapsedP95MS = int64(jobs.Quantile(0.95))
+		snap.ElapsedP99MS = int64(jobs.Quantile(0.99))
+		snap.ElapsedP999MS = int64(jobs.Quantile(0.999))
 	}
-	return snap
 }
 
 // ServeHTTP serves the snapshot as indented JSON, making a *Status
@@ -291,11 +301,7 @@ func (snap *StatusSnapshot) Text() string {
 	t.AddRow("workers", fmt.Sprintf("%d", snap.Workers))
 	t.AddRow("elapsed", (time.Duration(snap.ElapsedMS) * time.Millisecond).Round(time.Second).String())
 	t.AddRow("jobs/sec", fmt.Sprintf("%.2f", snap.JobsPerSec))
-	eta := "n/a"
-	if snap.ETAMS >= 0 {
-		eta = (time.Duration(snap.ETAMS) * time.Millisecond).Round(time.Second).String()
-	}
-	t.AddRow("eta", eta)
+	t.AddRow("eta", fmtETA(snap.ETAMS))
 	if snap.Executed+snap.Failed > 0 {
 		t.AddRow("job elapsed p50/p95/p99/p999", fmt.Sprintf("%dms / %dms / %dms / %dms",
 			snap.ElapsedP50MS, snap.ElapsedP95MS, snap.ElapsedP99MS, snap.ElapsedP999MS))
@@ -346,6 +352,14 @@ func (snap *StatusSnapshot) Text() string {
 		out += "\n" + r.String()
 	}
 	return out
+}
+
+// fmtETA renders an ETAMS value to the second ("n/a" while unknown).
+func fmtETA(ms int64) string {
+	if ms < 0 {
+		return "n/a"
+	}
+	return (time.Duration(ms) * time.Millisecond).Round(time.Second).String()
 }
 
 // progressBar renders done/total as a fixed-width ASCII bar.

@@ -51,7 +51,7 @@ func TestStatusTracksRun(t *testing.T) {
 		}
 		close(block)
 	}()
-	sum := Run(Options{Jobs: jobs, Workers: 3, Status: st, Retries: 1})
+	sum := Run(Options{Jobs: jobs, Workers: 3, Status: st})
 	if sum.Executed != 2 || sum.Failed != 1 {
 		t.Fatalf("summary: %+v", sum)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
@@ -61,25 +60,6 @@ type Summary struct {
 	// SeriesPoints totals the per-job series-window counts (telemetry,
 	// excluded from the determinism contract; zero when -series is off).
 	SeriesPoints int64 `json:"series_points,omitempty"`
-}
-
-// fillElapsedPercentiles derives the per-job elapsed percentiles from the
-// job records (executed and failed jobs only — cache hits are near-instant
-// and would drown the signal).
-func (s *Summary) fillElapsedPercentiles() {
-	d := sketch.New()
-	for _, r := range s.Jobs {
-		if r.Status != StatusCached {
-			d.Add(float64(r.ElapsedMS))
-		}
-	}
-	if d.Count() == 0 {
-		return
-	}
-	s.ElapsedP50MS = int64(d.Quantile(0.50))
-	s.ElapsedP95MS = int64(d.Quantile(0.95))
-	s.ElapsedP99MS = int64(d.Quantile(0.99))
-	s.ElapsedP999MS = int64(d.Quantile(0.999))
 }
 
 // Total returns the fleet size.

@@ -155,13 +155,17 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.srvMu.Lock()
-	srv := s.srv
+	srv, ln := s.srv, s.ln
 	s.srv = nil
 	s.ln = nil
 	s.srvMu.Unlock()
 	if srv == nil {
 		return nil
 	}
+	// Shutdown closes only listeners Serve has registered; one closed
+	// right after Start may not be yet, so release the port here too (a
+	// second close of the listener is harmless).
+	defer ln.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

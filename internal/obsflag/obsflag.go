@@ -156,39 +156,73 @@ type Session struct {
 // through sim.ObsProvider with per-simulation "s<seed>" run labels, and a
 // started CPU profile when -pprof is set. With no flags set it returns an
 // inert session whose Close is a no-op.
-func (f *Flags) Setup() (*Session, error) {
+//
+// Every flag value (series and flight specs, the -slo rule file) is
+// validated before any file, listener or process-wide hook is created, and
+// a step that fails later (a busy port, a profile already running) closes
+// what the earlier steps opened: a failed Setup leaves nothing behind.
+func (f *Flags) Setup() (_ *Session, err error) {
 	s := &Session{flags: f}
+	var windowUS int64
+	if f.Series != "" {
+		if s.seriesPath, windowUS, err = parseSeriesSpec(f.Series); err != nil {
+			return nil, err
+		}
+	}
+	var rules *slo.RuleSet
+	if f.Slo != "" {
+		if rules, err = slo.LoadRules(f.Slo); err != nil {
+			return nil, err
+		}
+	}
+	flightCap := 0
+	if f.Flight != "" {
+		if s.flightDir, flightCap, err = parseFlightSpec(f.Flight); err != nil {
+			return nil, err
+		}
+		if s.flightDir == "" {
+			return nil, fmt.Errorf("flight: empty dump directory in %q", f.Flight)
+		}
+	}
+	// From here on, release what a failed step's predecessors opened. The
+	// fallible steps run listener, trace file, CPU profile, in that order,
+	// and the process-wide sim.ObsProvider hook is installed last.
+	defer func() {
+		if err != nil {
+			s.http.Close()
+			if s.Reg != nil {
+				s.Reg.Sink().Close()
+			}
+		}
+	}()
+	for _, out := range []struct{ name, path string }{
+		{"trace", f.Trace}, {"series", s.seriesPath}, {"metrics", f.Metrics},
+	} {
+		if out.path != "" && out.path != "-" {
+			if err := ensureDir(out.path); err != nil {
+				return nil, fmt.Errorf("%s: %w", out.name, err)
+			}
+		}
+	}
+	if f.Flight != "" {
+		if err := os.MkdirAll(s.flightDir, 0o755); err != nil {
+			return nil, fmt.Errorf("flight: %w", err)
+		}
+		s.flight = flight.New(flightCap)
+	}
+	if f.Pprof != "" {
+		if err := os.MkdirAll(f.Pprof, 0o755); err != nil {
+			return nil, fmt.Errorf("pprof: %w", err)
+		}
+	}
 	if f.Enabled() {
 		reg := obs.NewRegistry()
-		if f.Trace != "" {
-			if err := ensureDir(f.Trace); err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			file, err := os.Create(f.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			reg.SetSink(obs.NewSink(file))
-		}
+		s.Reg = reg
 		if f.Series != "" {
-			path, windowUS, err := parseSeriesSpec(f.Series)
-			if err != nil {
-				return nil, err
-			}
-			if path != "-" {
-				if err := ensureDir(path); err != nil {
-					return nil, fmt.Errorf("series: %w", err)
-				}
-			}
 			s.series = obs.NewSeries(reg, windowUS)
-			s.seriesPath = path
 			reg.SetSeries(s.series)
 		}
-		if f.Slo != "" {
-			rules, err := slo.LoadRules(f.Slo)
-			if err != nil {
-				return nil, err
-			}
+		if rules != nil {
 			eng := slo.NewEngine(rules)
 			driver := s.series
 			if driver == nil {
@@ -201,11 +235,6 @@ func (f *Flags) Setup() (*Session, error) {
 			}
 			eng.Arm(reg, driver)
 			s.slo = eng
-		}
-		if f.Metrics != "" && f.Metrics != "-" {
-			if err := ensureDir(f.Metrics); err != nil {
-				return nil, fmt.Errorf("metrics: %w", err)
-			}
 		}
 		if f.HTTP != "" {
 			if s.series == nil && s.sloSeries == nil {
@@ -224,15 +253,32 @@ func (f *Flags) Setup() (*Session, error) {
 				return nil, err
 			}
 			s.http = srv
-			// Announced on stderr so scripts can discover a ":0" port.
-			fmt.Fprintf(s.stderr(), "obsflag: live endpoints on http://%s (/metrics /statusz /healthz /debug/pprof/)\n", srv.Addr())
 		}
-		s.Reg = reg
+		if f.Trace != "" {
+			file, err := os.Create(f.Trace)
+			if err != nil {
+				return nil, fmt.Errorf("trace: %w", err)
+			}
+			reg.SetSink(obs.NewSink(file))
+		}
+	}
+	if f.Pprof != "" {
+		file, err := os.Create(filepath.Join(f.Pprof, "cpu.pprof"))
+		if err != nil {
+			return nil, fmt.Errorf("pprof: %w", err)
+		}
+		if err := pprof.StartCPUProfile(file); err != nil {
+			file.Close()
+			return nil, fmt.Errorf("pprof: %w", err)
+		}
+		s.cpuFile = file
+	}
+	if reg := s.Reg; reg != nil {
 		// One experiment may run several simulations with the same seed
-		// (paired strategy comparisons reuse the seed on purpose), but a run
-		// label must denote ONE simulation or trace consumers would see two
-		// interleaved causal histories under one key. Disambiguate repeat
-		// instances with an instance suffix: s42, s42#2, s42#3, …
+		// (paired strategy comparisons reuse the seed on purpose), but a
+		// run label must denote ONE simulation or trace consumers would see
+		// two interleaved causal histories under one key. Disambiguate
+		// repeat instances with an instance suffix: s42, s42#2, s42#3, …
 		var mu sync.Mutex
 		instances := make(map[int64]int)
 		sim.ObsProvider = func(seed int64) *obs.Registry {
@@ -246,33 +292,9 @@ func (f *Flags) Setup() (*Session, error) {
 			return reg.WithRun(fmt.Sprintf("s%d#%d", seed, n))
 		}
 	}
-	if f.Flight != "" {
-		dir, capacity, err := parseFlightSpec(f.Flight)
-		if err != nil {
-			return nil, err
-		}
-		if dir == "" {
-			return nil, fmt.Errorf("flight: empty dump directory in %q", f.Flight)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("flight: %w", err)
-		}
-		s.flight = flight.New(capacity)
-		s.flightDir = dir
-	}
-	if f.Pprof != "" {
-		if err := os.MkdirAll(f.Pprof, 0o755); err != nil {
-			return nil, fmt.Errorf("pprof: %w", err)
-		}
-		file, err := os.Create(filepath.Join(f.Pprof, "cpu.pprof"))
-		if err != nil {
-			return nil, fmt.Errorf("pprof: %w", err)
-		}
-		if err := pprof.StartCPUProfile(file); err != nil {
-			file.Close()
-			return nil, fmt.Errorf("pprof: %w", err)
-		}
-		s.cpuFile = file
+	if s.http != nil {
+		// Announced on stderr so scripts can discover a ":0" port.
+		fmt.Fprintf(s.stderr(), "obsflag: live endpoints on http://%s (/metrics /statusz /healthz /debug/pprof/)\n", s.http.Addr())
 	}
 	return s, nil
 }

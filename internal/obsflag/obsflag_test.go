@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -462,6 +465,47 @@ func TestSetupRejectsBadFlightSpec(t *testing.T) {
 			t.Errorf("Setup accepted -flight %q", spec)
 		}
 	}
+}
+
+// TestSetupFailureLeavesNothing: a bad flag value fails Setup before any
+// file, listener or process-wide hook exists, and a step that fails late
+// (the CPU profiler already taken) releases the listener bound before it.
+func TestSetupFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.jsonl")
+	if _, err := (&Flags{Trace: trace, HTTP: "127.0.0.1:0", Flight: ",5"}).Setup(); err == nil {
+		t.Fatal("Setup accepted -flight ,5")
+	}
+	if sim.ObsProvider != nil {
+		sim.ObsProvider = nil
+		t.Error("failed Setup left sim.ObsProvider installed")
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Errorf("failed Setup created the trace file (stat err %v)", err)
+	}
+
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("CPU profiler unavailable: %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if _, err := (&Flags{HTTP: addr, Pprof: filepath.Join(dir, "prof")}).Setup(); err == nil {
+		t.Fatal("Setup succeeded with the CPU profiler already running")
+	}
+	if sim.ObsProvider != nil {
+		sim.ObsProvider = nil
+		t.Error("failed Setup left sim.ObsProvider installed")
+	}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("failed Setup left %s bound: %v", addr, err)
+	}
+	ln.Close()
 }
 
 // TestSLOSession: -slo arms the engine against the session registry. With

@@ -3,11 +3,13 @@ package sweep
 import (
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/obs/flight"
 	"repro/internal/sim/rng"
 )
 
@@ -263,15 +265,20 @@ func TestRunnerCache(t *testing.T) {
 }
 
 // TestRunnerRecoversPanic: one pathological grid point becomes a failed
-// job, not a dead worker.
+// job, not a dead worker, and its error names the job and carries the
+// flight dump path.
 func TestRunnerRecoversPanic(t *testing.T) {
-	r := &Runner{RunFunc: func(Job) Metrics { panic("boom") }}
+	dir := t.TempDir()
+	r := &Runner{RunFunc: func(Job) Metrics { panic("boom") },
+		Flight: flight.New(8), FlightDir: dir}
 	s := synthSpec(t, `{"name":"p","seeds":{"count":1},
 		"impairments":["none"],"device_classes":["pc"],"ap_densities":["dense"]}`)
 	j, _ := s.JobAt(0)
 	_, _, err := r.Do(j)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("panic not converted to error: %v", err)
+	want := "job 0 (none/pc/dense seed 0): panic: boom\nflight dump: " +
+		filepath.Join(dir, "flight-panic-job-0.jsonl") + "\n"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("panic error %q, want prefix %q", err, want)
 	}
 }
 

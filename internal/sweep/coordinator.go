@@ -75,13 +75,6 @@ type CoordinatorOptions struct {
 	// FlightDir is where expiry dumps land ("" disables dumping).
 	FlightDir string
 
-	// StragglerFactor flags a worker as straggling when its federated
-	// elapsed p50 exceeds factor × the fleet-merged p50 (default 2.0).
-	StragglerFactor float64
-	// StragglerMinSamples is the minimum federated sample count before a
-	// worker can be flagged (default 16) — below it the digest is noise.
-	StragglerMinSamples int64
-
 	// SLO, when non-nil, stamps per-cell pass/fail verdicts on the summary:
 	// every cell-bound rule of the set (Rule.Cell, see internal/obs/slo) is
 	// evaluated against the cell's merged metric sketches at Summarize time.
@@ -90,6 +83,15 @@ type CoordinatorOptions struct {
 	// them.
 	SLO *slo.RuleSet
 }
+
+const (
+	// stragglerFactor flags a worker as straggling when its federated
+	// elapsed p50 exceeds this multiple of the fleet-merged p50.
+	stragglerFactor = 2.0
+	// stragglerMinSamples is the federated sample count below which a
+	// worker is never flagged — below it the digest is noise.
+	stragglerMinSamples = 16
+)
 
 // Coordinator owns a sweep's job stream: it hands out leases, merges
 // worker-reported sketch aggregates, re-leases expired work, and serves
@@ -153,12 +155,6 @@ func NewCoordinator(spec *Spec, opts CoordinatorOptions) *Coordinator {
 	if opts.TTL <= 0 {
 		opts.TTL = 30 * time.Second
 	}
-	if opts.StragglerFactor <= 1 {
-		opts.StragglerFactor = 2.0
-	}
-	if opts.StragglerMinSamples <= 0 {
-		opts.StragglerMinSamples = 16
-	}
 	c := &Coordinator{
 		spec:     spec,
 		total:    spec.Total(),
@@ -209,19 +205,9 @@ func (c *Coordinator) reap(now time.Time) {
 			}
 			c.ins.leasesExpired.Inc()
 			c.ft.Expire(l.worker, leaseSeq(id), l.span.From, l.span.To, "ttl")
-			c.dumpFlight("expire-" + l.worker + "-" + id)
+			campaign.Guard{Flight: c.opts.Flight, Dir: c.opts.FlightDir}.Dump("expire-" + l.worker + "-" + id)
 		}
 	}
-}
-
-// dumpFlight writes the flight ring to the configured dump directory.
-// Dump failures are not worth failing lease bookkeeping over — the dump
-// is a best-effort postmortem — so the error only reaches the trace.
-func (c *Coordinator) dumpFlight(tag string) {
-	if c.opts.Flight == nil || c.opts.FlightDir == "" {
-		return
-	}
-	_, _ = c.opts.Flight.Dump(c.opts.FlightDir, tag)
 }
 
 func (c *Coordinator) worker(name string, now time.Time) *workerInfo {
@@ -262,7 +248,7 @@ func (c *Coordinator) Lease(workerName string, max int64) LeaseResponse {
 			c.requeued = c.requeued[1:]
 		}
 	case c.next < c.total:
-		sp = span{c.next, min64(c.next+max, c.total)}
+		sp = span{c.next, min(c.next+max, c.total)}
 		c.next = sp.To
 	default:
 		return LeaseResponse{Schema: ProtoSchema, Wait: true}
@@ -357,7 +343,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		}
 		c.ins.leasesExpired.Inc()
 		c.ft.Expire(l.worker, leaseSeq(l.id), l.span.From, l.span.To, "mismatch")
-		c.dumpFlight("expire-" + l.worker + "-" + l.id)
+		campaign.Guard{Flight: c.opts.Flight, Dir: c.opts.FlightDir}.Dump("expire-" + l.worker + "-" + l.id)
 		return CompleteResponse{Ignored: true},
 			fmt.Errorf("sweep: lease %s reports %d jobs for a %d-job span", l.id, reported, l.span.size())
 	}
@@ -431,19 +417,8 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 		Cached:   int(c.cached),
 		Failed:   int(c.failed),
 		Retries:  int(c.releases),
-		ETAMS:    -1,
 	}
-	snap.ElapsedMS = now.Sub(c.start).Milliseconds()
-	if secs := float64(snap.ElapsedMS) / 1000; secs > 0 && c.done > 0 {
-		snap.JobsPerSec = float64(c.done) / secs
-		snap.ETAMS = int64(float64(c.total-c.done) / snap.JobsPerSec * 1000)
-	}
-	if c.agg.Elapsed.Count() > 0 {
-		snap.ElapsedP50MS = int64(c.agg.Elapsed.Quantile(0.50))
-		snap.ElapsedP95MS = int64(c.agg.Elapsed.Quantile(0.95))
-		snap.ElapsedP99MS = int64(c.agg.Elapsed.Quantile(0.99))
-		snap.ElapsedP999MS = int64(c.agg.Elapsed.Quantile(0.999))
-	}
+	snap.SetTiming(now.Sub(c.start), c.agg.Elapsed)
 	snap.MetricSketches = c.agg.Sketches()
 	snap.SketchBuckets = c.agg.Buckets()
 
@@ -481,8 +456,8 @@ func (c *Coordinator) Snapshot() *campaign.StatusSnapshot {
 			ws.Samples = int64(w.fedElapsed.Count())
 			p50 := w.fedElapsed.Quantile(0.50)
 			ws.ElapsedP50MS = int64(p50)
-			if ws.Samples >= c.opts.StragglerMinSamples && fleetP50 > 0 &&
-				p50 > c.opts.StragglerFactor*fleetP50 {
+			if ws.Samples >= stragglerMinSamples && fleetP50 > 0 &&
+				p50 > stragglerFactor*fleetP50 {
 				ws.Straggler = true
 				straggling++
 			}
@@ -515,18 +490,10 @@ func (c *Coordinator) Summary() *Summary {
 	s.Executed = c.executed
 	s.Cached = c.cached
 	s.Workers = len(c.workers)
-	s.ElapsedMS = time.Since(c.start).Milliseconds()
-	if secs := float64(s.ElapsedMS) / 1000; secs > 0 && c.done > 0 {
-		s.JobsPerSec = float64(c.done) / secs
-	}
+	t := campaign.StatusSnapshot{Done: int(c.done), Total: int(c.total)}
+	t.SetTiming(time.Since(c.start), nil)
+	s.ElapsedMS, s.JobsPerSec = t.ElapsedMS, t.JobsPerSec
 	s.Failures = append([]string(nil), c.failures...)
 	s.FailuresTotal = c.failuresTotal
 	return s
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime/debug"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -135,53 +133,29 @@ type Runner struct {
 	FlightDir string
 }
 
-// panicStackLimit caps the stack captured into a panic error message —
-// enough for the crash site and its callers without ballooning lease
-// reports (CompleteRequest carries these errors over the wire).
-const panicStackLimit = 4 << 10
-
-// Do resolves one job: cache hit, or execute + store. Panics in the
-// simulator are recovered into an error — carrying the goroutine stack and
-// the flight-recorder dump path — so one pathological grid point cannot
-// take down a worker, and the panic stays diagnosable after the fact.
+// Do resolves one job: cache hit, or execute + store. A panic in the
+// simulator becomes the job's error (campaign.Guard: the goroutine stack
+// and the flight-recorder dump path), so one pathological grid point
+// cannot take down a worker, and the panic stays diagnosable after the
+// fact. A cached record that fails to decode or carries a stale schema is
+// evicted and re-executed.
 func (r *Runner) Do(j Job) (m Metrics, cached bool, err error) {
 	key := j.Key()
-	if r.Cache != nil {
-		if data, ok := r.Cache.LoadRaw(key); ok {
-			if jerr := json.Unmarshal(data, &m); jerr == nil && m.valid() {
-				return m, true, nil
-			}
-			m = Metrics{}
-			r.Cache.RemoveRaw(key) // stale schema or corruption: one re-execution
-		}
+	if r.Cache.LoadJSON(key, &m, func() bool { return m.valid() }) {
+		return m, true, nil
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if len(stack) > panicStackLimit {
-				stack = stack[:panicStackLimit]
-			}
-			dump := ""
-			if r.Flight != nil && r.FlightDir != "" {
-				if path, derr := r.Flight.Dump(r.FlightDir, fmt.Sprintf("panic-job-%d", j.Index)); derr == nil {
-					dump = "\nflight dump: " + path
-				}
-			}
-			err = fmt.Errorf("job %d (%s seed %d): panic: %v%s\n%s",
-				j.Index, j.CellKey(), j.Seed, p, dump, stack)
-		}
-	}()
+	m = Metrics{}
 	run := r.RunFunc
 	if run == nil {
 		run = RunJob
 	}
-	m = run(j)
-	m.Schema = MetricsSchema
-	if r.Cache != nil {
-		if data, jerr := json.Marshal(m); jerr == nil {
-			// A cache write failure degrades re-run speed, not correctness.
-			_ = r.Cache.StoreRaw(key, data)
-		}
+	guard := campaign.Guard{Flight: r.Flight, Dir: r.FlightDir}
+	if err = guard.Run(func() string { return fmt.Sprintf("panic-job-%d", j.Index) },
+		func() { m = run(j) }); err != nil {
+		return Metrics{}, false, fmt.Errorf("job %d (%s seed %d): %w", j.Index, j.CellKey(), j.Seed, err)
 	}
+	m.Schema = MetricsSchema
+	// A cache write failure degrades re-run speed, not correctness.
+	_ = r.Cache.StoreJSON(key, &m)
 	return m, false, nil
 }

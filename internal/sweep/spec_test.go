@@ -35,6 +35,7 @@ func TestParseSpecRejects(t *testing.T) {
 		{"negative severity", `{"name":"t","seeds":{"count":1},"severity":-1}`, "severity"},
 		{"short call", `{"name":"t","seeds":{"count":1},"duration_s":0.5}`, "duration_s"},
 		{"unknown field", `{"name":"t","seeds":{"count":1},"wat":true}`, "wat"},
+		{"trailing content", `{"name":"t","seeds":{"count":1}} {"name":"second"} trailing garbage`, "trailing content"},
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec([]byte(c.doc)); err == nil {

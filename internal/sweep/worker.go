@@ -7,9 +7,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
+	"repro/internal/par"
 	"repro/internal/sketch"
 )
 
@@ -21,14 +23,8 @@ type WorkerOptions struct {
 	Parallel int
 	// Batch is the max jobs requested per lease (0 = coordinator's cap).
 	Batch int64
-	// Poll is the wait-state poll interval (default 100 ms).
-	Poll time.Duration
 	// Progress, when non-nil, receives one line per completed lease.
 	Progress io.Writer
-	// MaxErrors aborts the worker after this many consecutive transport
-	// failures (default 10) — a vanished coordinator should kill the
-	// worker, not spin it.
-	MaxErrors int
 
 	// Obs, when non-nil, receives this worker's side of the lease
 	// lifecycle as fleet-trace-v1 events (src=worker). Purely
@@ -47,6 +43,15 @@ type WorkerOptions struct {
 	// or firing mid-sweep. Purely observational.
 	SLO *slo.Engine
 }
+
+const (
+	// workerPoll is the wait-state poll interval.
+	workerPoll = 100 * time.Millisecond
+	// workerMaxErrors aborts a worker after this many consecutive
+	// transport failures — a vanished coordinator should kill the worker,
+	// not spin it.
+	workerMaxErrors = 10
+)
 
 // workerMeter accumulates the metric snapshot a worker piggybacks on
 // heartbeats: lifetime job-outcome counters and the per-job elapsed
@@ -121,12 +126,6 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 	if opts.Parallel <= 0 {
 		opts.Parallel = runtime.NumCPU()
 	}
-	if opts.Poll <= 0 {
-		opts.Poll = 100 * time.Millisecond
-	}
-	if opts.MaxErrors <= 0 {
-		opts.MaxErrors = 10
-	}
 	spec, err := transport.FetchSpec()
 	if err != nil {
 		return stats, fmt.Errorf("sweep: fetch spec: %w", err)
@@ -139,10 +138,10 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 		grant, err := transport.Lease(opts.Name, opts.Batch)
 		if err != nil {
 			errs++
-			if errs >= opts.MaxErrors {
+			if errs >= workerMaxErrors {
 				return stats, fmt.Errorf("sweep: lease: %w (%d consecutive failures)", err, errs)
 			}
-			time.Sleep(opts.Poll)
+			time.Sleep(workerPoll)
 			continue
 		}
 		errs = 0
@@ -150,7 +149,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 		case grant.Done:
 			return stats, nil
 		case grant.Wait:
-			time.Sleep(opts.Poll)
+			time.Sleep(workerPoll)
 			continue
 		}
 		ft.Grant(opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To,
@@ -164,7 +163,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 			// re-leases at TTL expiry (possibly back to this worker, where
 			// the cache makes the re-run cheap).
 			errs++
-			if errs >= opts.MaxErrors {
+			if errs >= workerMaxErrors {
 				return stats, fmt.Errorf("sweep: complete: %w (%d consecutive failures)", err, errs)
 			}
 			continue
@@ -175,9 +174,7 @@ func RunWorker(transport Transport, runner *Runner, opts WorkerOptions) (WorkerS
 			// The coordinator discarded this report as stale: record the
 			// worker-side view and dump the ring for the postmortem.
 			ft.RejectStale(opts.Name, leaseSeq(grant.LeaseID))
-			if opts.Flight != nil && opts.FlightDir != "" {
-				_, _ = opts.Flight.Dump(opts.FlightDir, "stale-"+opts.Name+"-"+grant.LeaseID)
-			}
+			campaign.Guard{Flight: opts.Flight, Dir: opts.FlightDir}.Dump("stale-" + opts.Name + "-" + grant.LeaseID)
 		} else {
 			stats.Jobs += grant.To - grant.From
 			stats.Executed += report.Executed
@@ -240,9 +237,7 @@ func runLease(transport Transport, runner *Runner, spec *Spec, grant LeaseRespon
 					if err == nil && !resp.OK && !dumped {
 						dumped = true
 						ft.Expire(opts.Name, leaseSeq(grant.LeaseID), grant.From, grant.To, "notified")
-						if opts.Flight != nil && opts.FlightDir != "" {
-							_, _ = opts.Flight.Dump(opts.FlightDir, "expire-"+opts.Name+"-"+grant.LeaseID)
-						}
+						campaign.Guard{Flight: opts.Flight, Dir: opts.FlightDir}.Dump("expire-" + opts.Name + "-" + grant.LeaseID)
 					}
 				}
 			}
@@ -251,48 +246,40 @@ func runLease(transport Transport, runner *Runner, spec *Spec, grant LeaseRespon
 
 	agg := NewAggregate()
 	req := CompleteRequest{Schema: ProtoSchema, Worker: opts.Name, LeaseID: grant.LeaseID, Agg: agg}
+	idx := make([]int64, max(grant.To-grant.From, 0))
+	for k := range idx {
+		idx[k] = grant.From + int64(k)
+	}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	idx := make(chan int64)
-	for w := 0; w < opts.Parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				job, err := spec.JobAt(i)
-				var m Metrics
-				var cached bool
-				jobStart := time.Now()
-				if err == nil {
-					m, cached, err = runner.Do(job)
-				}
-				elapsed := float64(time.Since(jobStart).Microseconds()) / 1000
-				meter.observe(elapsed, cached, err != nil)
-				mu.Lock()
-				agg.ObserveElapsed(elapsed)
-				if err != nil {
-					agg.ObserveFailure(job.CellKey())
-					req.Failed++
-					if len(req.Errors) < maxLeaseErrors {
-						req.Errors = append(req.Errors, err.Error())
-					}
-				} else {
-					agg.Observe(job.CellKey(), m)
-					if cached {
-						req.Cached++
-					} else {
-						req.Executed++
-					}
-				}
-				mu.Unlock()
+	par.MapN(idx, opts.Parallel, func(i int64) struct{} {
+		job, err := spec.JobAt(i)
+		var m Metrics
+		var cached bool
+		jobStart := time.Now()
+		if err == nil {
+			m, cached, err = runner.Do(job)
+		}
+		elapsed := float64(time.Since(jobStart).Microseconds()) / 1000
+		meter.observe(elapsed, cached, err != nil)
+		mu.Lock()
+		defer mu.Unlock()
+		agg.ObserveElapsed(elapsed)
+		if err != nil {
+			agg.ObserveFailure(job.CellKey())
+			req.Failed++
+			if len(req.Errors) < maxLeaseErrors {
+				req.Errors = append(req.Errors, err.Error())
 			}
-		}()
-	}
-	for i := grant.From; i < grant.To; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		} else {
+			agg.Observe(job.CellKey(), m)
+			if cached {
+				req.Cached++
+			} else {
+				req.Executed++
+			}
+		}
+		return struct{}{}
+	})
 	close(stop)
 	hbWG.Wait()
 	return req, time.Since(start)
